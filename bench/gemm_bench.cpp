@@ -12,9 +12,16 @@
 //   - scalar: the kernel layer forced onto the portable scalar fallback,
 //     isolating how much of the win is tiling vs im2col lowering.
 //
+// The shapes come at serving batch 16 (forward and full backward) and at
+// batch 1, the per-sample attack step: forward, and the input gradient
+// alone (`_dx`, no weight or bias gradients — what Model::backward_input
+// runs). The seed loops have no input-only backward, so a `_dx` row's
+// reference time is the full seed backward: the seed's cost of dL/dx.
+// Every row reports its own `speedup` (reference / tuned).
+//
 // The headline `tuned_speedup` (sum of reference times / sum of tuned
-// times over the batched-inference forward shapes) is the ISSUE's >= 2x
-// target and is gated in CI by tools/bench_check.
+// times over the batch-16 forward shapes) is gated in CI by
+// tools/bench_check; `train_speedup` covers every batch-16 shape.
 //
 // Before timing, every shape's kernel output is checked ULP-bounded
 // against the reference; a divergence aborts with exit 1 (a benchmark of
@@ -47,45 +54,56 @@ using namespace gea;
 /// forward or backward.
 struct LayerCase {
   std::string label;
-  kernels::Conv1DShape conv;   // conv.k > 0 => conv case
+  kernels::Conv1DShape conv;   // conv.k > 0 => conv case; conv.n = batch
   std::size_t in = 0, out = 0; // dense case
   bool backward = false;
+  bool input_only = false;     // backward without weight/bias gradients
   bool infer_shape = true;     // counted in the headline speedup
 };
 
 /// The four conv + two dense layers of the paper CNN (23-feature input),
-/// at serving batch 16, forward and backward.
-std::vector<LayerCase> paper_cnn_cases(std::size_t batch) {
-  std::vector<LayerCase> cases;
-  auto conv = [&](std::string label, std::size_t in_ch, std::size_t l_in,
+/// forward, at batch `n`; labels carry `suffix`.
+std::vector<LayerCase> paper_cnn_layers(std::size_t n,
+                                        const std::string& suffix) {
+  auto conv = [&](const char* label, std::size_t in_ch, std::size_t l_in,
                   std::size_t out_ch, bool same) {
     LayerCase c;
-    c.label = std::move(label);
-    c.conv = {batch, in_ch, l_in, out_ch, 3, same};
-    cases.push_back(c);
-    c.label += "_bwd";
-    c.backward = true;
-    c.infer_shape = false;
-    cases.push_back(c);
+    c.label = label + suffix;
+    c.conv = {n, in_ch, l_in, out_ch, 3, same};
+    return c;
   };
-  auto dense = [&](std::string label, std::size_t in, std::size_t out) {
+  auto dense = [&](const char* label, std::size_t in, std::size_t out) {
     LayerCase c;
-    c.label = std::move(label);
+    c.label = label + suffix;
     c.in = in;
     c.out = out;
-    c.conv.n = batch;
+    c.conv.n = n;
+    return c;
+  };
+  return {conv("conv1", 1, 23, 46, true),  conv("conv2", 46, 23, 46, false),
+          conv("conv3", 46, 10, 92, true), conv("conv4", 92, 10, 92, false),
+          dense("dense1", 368, 512),       dense("dense2", 512, 2)};
+}
+
+/// Forward and full backward at serving batch `batch`, then forward and
+/// input gradient at batch 1.
+std::vector<LayerCase> paper_cnn_cases(std::size_t batch) {
+  std::vector<LayerCase> cases;
+  for (LayerCase c : paper_cnn_layers(batch, "")) {
     cases.push_back(c);
     c.label += "_bwd";
     c.backward = true;
     c.infer_shape = false;
     cases.push_back(c);
-  };
-  conv("conv1", 1, 23, 46, true);
-  conv("conv2", 46, 23, 46, false);
-  conv("conv3", 46, 10, 92, true);
-  conv("conv4", 92, 10, 92, false);
-  dense("dense1", 368, 512);
-  dense("dense2", 512, 2);
+  }
+  for (LayerCase c : paper_cnn_layers(1, "_b1")) {
+    c.infer_shape = false;
+    cases.push_back(c);
+    c.label += "_dx";
+    c.backward = true;
+    c.input_only = true;
+    cases.push_back(c);
+  }
   return cases;
 }
 
@@ -123,7 +141,11 @@ CaseBuffers make_buffers(const LayerCase& c, util::Rng& rng) {
 }
 
 /// Run one case through either the kernel layer or the seed reference.
+/// An input-only case hands the kernel no parameter-gradient buffers; the
+/// seed loops always compute them.
 void run_case(const LayerCase& c, CaseBuffers& buf, bool reference) {
+  float* gw = c.input_only ? nullptr : buf.gw.data();
+  float* gb = c.input_only ? nullptr : buf.gb.data();
   if (c.conv.k > 0) {
     if (!c.backward) {
       if (reference) {
@@ -143,8 +165,7 @@ void run_case(const LayerCase& c, CaseBuffers& buf, bool reference) {
                                             buf.gw.data(), buf.gb.data());
       } else {
         kernels::conv1d_backward(c.conv, buf.x.data(), buf.w.data(),
-                                 buf.grad_out.data(), buf.gx.data(),
-                                 buf.gw.data(), buf.gb.data());
+                                 buf.grad_out.data(), buf.gx.data(), gw, gb);
       }
     }
   } else {
@@ -169,8 +190,7 @@ void run_case(const LayerCase& c, CaseBuffers& buf, bool reference) {
                                            buf.gb.data());
       } else {
         kernels::dense_backward(n, c.in, c.out, buf.x.data(), buf.w.data(),
-                                buf.grad_out.data(), buf.gx.data(),
-                                buf.gw.data(), buf.gb.data());
+                                buf.grad_out.data(), buf.gx.data(), gw, gb);
       }
     }
   }
@@ -202,6 +222,7 @@ bool case_matches_reference(const LayerCase& c, CaseBuffers& buf) {
   CaseBuffers want = buf;
   run_case(c, want, /*reference=*/true);
   if (!c.backward) return close_enough(buf.y, want.y);
+  if (c.input_only) return close_enough(buf.gx, want.gx);
   return close_enough(buf.gx, want.gx) && close_enough(buf.gw, want.gw) &&
          close_enough(buf.gb, want.gb);
 }
@@ -281,8 +302,10 @@ int main(int argc, char** argv) {
 
   struct Row {
     std::string label;
+    std::size_t batch;
     double ref_ms, tuned_ms, scalar_ms;
     bool infer_shape;
+    double speedup() const { return tuned_ms > 0 ? ref_ms / tuned_ms : 0.0; }
   };
   std::vector<Row> rows;
   double infer_ref_ms = 0.0, infer_tuned_ms = 0.0;
@@ -294,24 +317,29 @@ int main(int argc, char** argv) {
     auto& buf = buffers[i];
     Row row;
     row.label = c.label;
+    row.batch = c.conv.n;
     row.infer_shape = c.infer_shape;
-    row.ref_ms = best_of(reps, iters, c, buf, /*reference=*/true);
-    row.tuned_ms = best_of(reps, iters, c, buf, /*reference=*/false);
+    // Batch-1 cases repeat batch/1 times as often, so every row times
+    // about the same amount of work.
+    const int case_iters = iters * static_cast<int>(batch / row.batch);
+    row.ref_ms = best_of(reps, case_iters, c, buf, /*reference=*/true);
+    row.tuned_ms = best_of(reps, case_iters, c, buf, /*reference=*/false);
     // Both configs were validated on install above — refusal is impossible.
     (void)kernels::set_active_config(scalar);
-    row.scalar_ms = best_of(reps, iters, c, buf, /*reference=*/false);
+    row.scalar_ms = best_of(reps, case_iters, c, buf, /*reference=*/false);
     (void)kernels::set_active_config(report.best);
     rows.push_back(row);
-    total_ref_ms += row.ref_ms;
-    total_tuned_ms += row.tuned_ms;
+    if (row.batch == batch) {
+      total_ref_ms += row.ref_ms;
+      total_tuned_ms += row.tuned_ms;
+    }
     if (c.infer_shape) {
       infer_ref_ms += row.ref_ms;
       infer_tuned_ms += row.tuned_ms;
     }
-    std::printf("%-12s ref %8.3f ms  tuned %8.3f ms (%5.2fx)  scalar %8.3f "
+    std::printf("%-13s ref %8.3f ms  tuned %8.3f ms (%5.2fx)  scalar %8.3f "
                 "ms (%5.2fx)\n",
-                row.label.c_str(), row.ref_ms, row.tuned_ms,
-                row.tuned_ms > 0 ? row.ref_ms / row.tuned_ms : 0.0,
+                row.label.c_str(), row.ref_ms, row.tuned_ms, row.speedup(),
                 row.scalar_ms,
                 row.scalar_ms > 0 ? row.ref_ms / row.scalar_ms : 0.0);
   }
@@ -322,7 +350,7 @@ int main(int argc, char** argv) {
       total_tuned_ms > 0.0 ? total_ref_ms / total_tuned_ms : 0.0;
   std::printf("batched-inference speedup (tuned vs seed): %.2fx\n",
               tuned_speedup);
-  std::printf("all-shapes speedup (fwd+bwd):              %.2fx\n",
+  std::printf("batch-%zu speedup (fwd+bwd):                %.2fx\n", batch,
               train_speedup);
 
   std::ofstream out("BENCH_gemm.json");
@@ -336,9 +364,10 @@ int main(int argc, char** argv) {
       << "  \"shapes\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
-    out << "    {\"label\": \"" << r.label << "\", \"reference_ms\": "
-        << r.ref_ms << ", \"tuned_ms\": " << r.tuned_ms
-        << ", \"scalar_ms\": " << r.scalar_ms << ", \"infer_shape\": "
+    out << "    {\"label\": \"" << r.label << "\", \"batch\": " << r.batch
+        << ", \"reference_ms\": " << r.ref_ms << ", \"tuned_ms\": "
+        << r.tuned_ms << ", \"scalar_ms\": " << r.scalar_ms
+        << ", \"speedup\": " << r.speedup() << ", \"infer_shape\": "
         << (r.infer_shape ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }

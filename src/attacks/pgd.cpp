@@ -18,15 +18,18 @@ std::vector<double> Pgd::craft(ml::DifferentiableClassifier& clf,
     for (auto& v : adv) v += rng_.uniform(-cfg_.epsilon, cfg_.epsilon);
     detail::clamp01(adv);
   }
+  std::vector<double> z;
   for (std::size_t it = 0; it < cfg_.iterations; ++it) {
-    const auto g = clf.grad_loss(adv, label);
+    const auto g = clf.grad_loss(adv, label, &z);
+    // Early exit once the previous step's point is misclassified; the
+    // gradient call just computed its logits.
+    if (it > 0 && ml::argmax(z) != label) break;
     for (std::size_t i = 0; i < adv.size(); ++i) {
       adv[i] += step * detail::sgn(g[i]);
       // Project onto the eps-ball around the original point.
       adv[i] = std::clamp(adv[i], x[i] - cfg_.epsilon, x[i] + cfg_.epsilon);
     }
     detail::clamp01(adv);
-    if (clf.predict(adv) != label) break;  // early exit once misclassified
   }
   return adv;
 }

@@ -113,18 +113,24 @@ void conv1d_backward(const Conv1DShape& s, const float* x, const float* w,
   const std::ptrdiff_t base = pad_base(s);
 
   // Bias gradient in the seed's order (sample-major, position-ascending).
-  for (std::size_t i = 0; i < s.n; ++i) {
-    for (std::size_t oc = 0; oc < s.out_ch; ++oc) {
-      const float* g_row = grad_out + (i * s.out_ch + oc) * l_out;
-      float acc = gb[oc];
-      for (std::size_t j = 0; j < l_out; ++j) acc += g_row[j];
-      gb[oc] = acc;
+  if (gb != nullptr) {
+    for (std::size_t i = 0; i < s.n; ++i) {
+      for (std::size_t oc = 0; oc < s.out_ch; ++oc) {
+        const float* g_row = grad_out + (i * s.out_ch + oc) * l_out;
+        float acc = gb[oc];
+        for (std::size_t j = 0; j < l_out; ++j) acc += g_row[j];
+        gb[oc] = acc;
+      }
     }
   }
 
   KernelScratch& scratch = KernelScratch::tls();
-  float* col = scratch.col(kdim * ncols);
-  im2col(s, x, col);
+  // The column matrix of x feeds only the weight gradient.
+  float* col = nullptr;
+  if (gw != nullptr) {
+    col = scratch.col(kdim * ncols);
+    im2col(s, x, col);
+  }
   float* dcol = scratch.dcol(kdim * l_out);
 
   for (std::size_t i = 0; i < s.n; ++i) {
@@ -132,19 +138,21 @@ void conv1d_backward(const Conv1DShape& s, const float* x, const float* w,
 
     // gw += G_i * col_i^T: (out_ch x l_out) * (l_out x kdim), sample-major
     // accumulation matching the seed loop's order.
-    GemmSpec wspec;
-    wspec.m = s.out_ch;
-    wspec.n = kdim;
-    wspec.k = l_out;
-    wspec.a = g_i;
-    wspec.lda = l_out;
-    wspec.b = col + i * l_out;  // column slice of sample i, transposed view
-    wspec.ldb = ncols;
-    wspec.trans_b = true;
-    wspec.c = gw;
-    wspec.ldc = kdim;
-    wspec.accumulate = true;
-    gemm(wspec);
+    if (gw != nullptr) {
+      GemmSpec wspec;
+      wspec.m = s.out_ch;
+      wspec.n = kdim;
+      wspec.k = l_out;
+      wspec.a = g_i;
+      wspec.lda = l_out;
+      wspec.b = col + i * l_out;  // column slice of sample i, transposed view
+      wspec.ldb = ncols;
+      wspec.trans_b = true;
+      wspec.c = gw;
+      wspec.ldc = kdim;
+      wspec.accumulate = true;
+      gemm(wspec);
+    }
 
     // dcol = W^T * G_i: (kdim x out_ch) * (out_ch x l_out).
     GemmSpec xspec;
@@ -200,26 +208,30 @@ void dense_backward(std::size_t n, std::size_t in, std::size_t out,
                     const float* x, const float* w, const float* grad_out,
                     float* grad_in, float* gw, float* gb) {
   // Bias gradient in the seed's sample-major order.
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* g_i = grad_out + i * out;
-    for (std::size_t o = 0; o < out; ++o) gb[o] += g_i[o];
+  if (gb != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* g_i = grad_out + i * out;
+      for (std::size_t o = 0; o < out; ++o) gb[o] += g_i[o];
+    }
   }
 
   // gw += G^T * X: (out x n) * (n x in); k' = n is the sample-major
   // accumulation the seed loop performs.
-  GemmSpec wspec;
-  wspec.m = out;
-  wspec.n = in;
-  wspec.k = n;
-  wspec.a = grad_out;  // (n, out) read as its (out, n) transpose
-  wspec.lda = out;
-  wspec.trans_a = true;
-  wspec.b = x;
-  wspec.ldb = in;
-  wspec.c = gw;
-  wspec.ldc = in;
-  wspec.accumulate = true;
-  gemm(wspec);
+  if (gw != nullptr) {
+    GemmSpec wspec;
+    wspec.m = out;
+    wspec.n = in;
+    wspec.k = n;
+    wspec.a = grad_out;  // (n, out) read as its (out, n) transpose
+    wspec.lda = out;
+    wspec.trans_a = true;
+    wspec.b = x;
+    wspec.ldb = in;
+    wspec.c = gw;
+    wspec.ldc = in;
+    wspec.accumulate = true;
+    gemm(wspec);
+  }
 
   // grad_in = G * W: (n x out) * (out x in).
   GemmSpec xspec;

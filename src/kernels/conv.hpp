@@ -39,7 +39,9 @@ void conv1d_forward(const Conv1DShape& shape, const float* x, const float* w,
                     const float* b, float* y);
 
 /// Accumulates gw (out_ch, in_ch, k) and gb (out_ch); writes grad_in
-/// (n, in_ch, l_in), which must be zero-initialized by the caller.
+/// (n, in_ch, l_in), which must be zero-initialized by the caller. A null
+/// gw or gb skips that gradient's work (x is read only for gw); grad_in
+/// does not depend on either.
 void conv1d_backward(const Conv1DShape& shape, const float* x, const float* w,
                      const float* grad_out, float* grad_in, float* gw,
                      float* gb);
@@ -48,7 +50,8 @@ void conv1d_backward(const Conv1DShape& shape, const float* x, const float* w,
 void dense_forward(std::size_t n, std::size_t in, std::size_t out,
                    const float* x, const float* w, const float* b, float* y);
 
-/// Accumulates gw (out, in) and gb (out); writes grad_in (n, in).
+/// Accumulates gw (out, in) and gb (out); writes grad_in (n, in). A null
+/// gw or gb skips that gradient's work (x is read only for gw).
 void dense_backward(std::size_t n, std::size_t in, std::size_t out,
                     const float* x, const float* w, const float* grad_out,
                     float* grad_in, float* gw, float* gb);

@@ -49,6 +49,61 @@ void scalar_gemm(const GemmSpec& s) {
   }
 }
 
+/// crow[j] += av * brow[j] for j < n: one step of n independent chains, in
+/// fixed-width blocks the compiler vectorizes.
+void axpy_row(std::size_t n, float av, const float* __restrict brow,
+              float* __restrict crow) {
+  constexpr std::size_t kBlock = 16;
+  std::size_t j = 0;
+  for (; j + kBlock <= n; j += kBlock) {
+    for (std::size_t t = 0; t < kBlock; ++t) crow[j + t] += av * brow[j + t];
+  }
+  for (; j < n; ++j) crow[j] += av * brow[j];
+}
+
+/// Unpacked path for products with fewer rows than the register tile
+/// (m < mr: dense layers at batch 1-3). Packing all of B to fill one live
+/// row of an mr-tall tile costs more than the product itself, so each row
+/// of C reads A and B in place. The chains are the same as on every other
+/// path: C[i][j] starts from init_c and takes its k terms in ascending
+/// order. Only independent chains run side by side — lanes of a row of B,
+/// or kDotLanes dot products over rows of the transposed B.
+void direct_gemm(const GemmSpec& s) {
+  constexpr std::size_t kDotLanes = 4;
+  init_c(s);
+  const std::size_t n = s.n, k = s.k, ldb = s.ldb;
+  const std::size_t a_step = s.trans_a ? s.lda : 1;
+  for (std::size_t i = 0; i < s.m; ++i) {
+    const float* ai = s.trans_a ? s.a + i : s.a + i * s.lda;
+    float* crow = s.c + i * s.ldc;
+    if (!s.trans_b) {
+      for (std::size_t p = 0; p < k; ++p) {
+        axpy_row(n, ai[p * a_step], s.b + p * ldb, crow);
+      }
+      continue;
+    }
+    std::size_t j = 0;
+    for (; j + kDotLanes <= n; j += kDotLanes) {
+      const float* bj = s.b + j * ldb;
+      float acc[kDotLanes];
+      for (std::size_t t = 0; t < kDotLanes; ++t) acc[t] = crow[j + t];
+      for (std::size_t p = 0; p < k; ++p) {
+        const float av = ai[p * a_step];
+        for (std::size_t t = 0; t < kDotLanes; ++t) {
+          acc[t] += av * bj[t * ldb + p];
+        }
+      }
+      for (std::size_t t = 0; t < kDotLanes; ++t) crow[j + t] = acc[t];
+    }
+    for (; j < n; ++j) {
+      const float* bj = s.b + j * ldb;
+      float acc = crow[j];
+      for (std::size_t p = 0; p < k; ++p) acc += ai[p * a_step] * bj[p];
+      crow[j] = acc;
+    }
+  }
+}
+
 /// Pack the (mb x kb) block of A at (i0, p0) into MR-tall row panels laid
 /// out k-major: panel q, offset kk*MR + r holds A[i0 + q*MR + r][p0 + kk].
 /// Rows past mb are zero-filled so partial register tiles can run the
@@ -201,9 +256,11 @@ void gemm(const GemmSpec& spec, const KernelConfig& cfg,
   MicroFn micro = cfg.scalar() ? nullptr : find_variant(cfg.mr, cfg.nr);
   if (micro == nullptr) {
     scalar_gemm(spec);
-    return;
+  } else if (spec.m < cfg.mr) {
+    direct_gemm(spec);
+  } else {
+    tiled_gemm(spec, cfg, scratch, micro);
   }
-  tiled_gemm(spec, cfg, scratch, micro);
 }
 
 void gemm(const GemmSpec& spec) {

@@ -5,7 +5,10 @@
 // all reduce to gemm() calls. The implementation is a classic three-level
 // blocking scheme (BLIS-style): B is packed into nr-wide column panels and
 // A into mr-tall row panels per (kc x nc) / (mc x kc) cache block, and an
-// mr x nr register-tile microkernel walks the shared dimension.
+// mr x nr register-tile microkernel walks the shared dimension. Products
+// with fewer rows than the register tile (m < mr: dense layers at batch
+// 1-3) skip the packing and take an unpacked direct path; the choice
+// depends on the shape and the active mr alone.
 //
 // Floating-point contract — the property every caller leans on:
 //
@@ -17,9 +20,10 @@
 // per column block and partial register tiles run the exact same unrolled
 // code as full ones (zero-padded panels, masked stores). Consequently the
 // result is independent of the tile parameters, the batch position an
-// element lands in, and whether the tiled or scalar-fallback path ran —
-// which is what keeps batched inference bitwise-identical to per-sample
-// forward, and the whole layer ULP-bounded against the seed loops.
+// element lands in, and whether the tiled, direct or scalar-fallback path
+// ran — which is what keeps batched inference bitwise-identical to
+// per-sample forward, and the whole layer ULP-bounded against the seed
+// loops.
 #pragma once
 
 #include <cstddef>

@@ -84,6 +84,14 @@ Tensor Conv1D::infer(const Tensor& x) {
 }
 
 Tensor Conv1D::backward(const Tensor& grad_out) {
+  return propagate(grad_out, gw_.data(), gb_.data());
+}
+
+Tensor Conv1D::backward_input(const Tensor& grad_out) {
+  return propagate(grad_out, nullptr, nullptr);
+}
+
+Tensor Conv1D::propagate(const Tensor& grad_out, float* gw, float* gb) {
   const auto s = shape_for(last_input_);
   if (grad_out.rank() != 3 || grad_out.dim(0) != s.n ||
       grad_out.dim(1) != out_ch_ || grad_out.dim(2) != s.l_out()) {
@@ -92,7 +100,7 @@ Tensor Conv1D::backward(const Tensor& grad_out) {
   }
   Tensor grad_in({s.n, in_ch_, s.l_in});
   kernels::conv1d_backward(s, last_input_.data(), w_.data(), grad_out.data(),
-                           grad_in.data(), gw_.data(), gb_.data());
+                           grad_in.data(), gw, gb);
   return grad_in;
 }
 

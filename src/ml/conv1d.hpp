@@ -26,6 +26,7 @@ class Conv1D : public Layer {
 
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
+  Tensor backward_input(const Tensor& grad_out) override;
   /// Batched inference fast path: forward() without the input cache copy.
   /// Identical kernel path, so the logits are bitwise identical.
   Tensor infer(const Tensor& x) override;
@@ -38,6 +39,8 @@ class Conv1D : public Layer {
 
  private:
   kernels::Conv1DShape shape_for(const Tensor& x) const;
+  /// Input gradient, plus the parameter gradients into gw/gb when non-null.
+  Tensor propagate(const Tensor& grad_out, float* gw, float* gb);
 
   std::size_t in_ch_;
   std::size_t out_ch_;

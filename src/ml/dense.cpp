@@ -51,6 +51,14 @@ Tensor Dense::infer(const Tensor& x) {
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {
+  return propagate(grad_out, gw_.data(), gb_.data());
+}
+
+Tensor Dense::backward_input(const Tensor& grad_out) {
+  return propagate(grad_out, nullptr, nullptr);
+}
+
+Tensor Dense::propagate(const Tensor& grad_out, float* gw, float* gb) {
   if (grad_out.rank() != 2 || grad_out.dim(1) != out_ ||
       grad_out.dim(0) != last_input_.dim(0)) {
     throw std::invalid_argument("Dense::backward: bad gradient shape " +
@@ -59,8 +67,7 @@ Tensor Dense::backward(const Tensor& grad_out) {
   const std::size_t n = grad_out.dim(0);
   Tensor grad_in({n, in_});
   kernels::dense_backward(n, in_, out_, last_input_.data(), w_.data(),
-                          grad_out.data(), grad_in.data(), gw_.data(),
-                          gb_.data());
+                          grad_out.data(), grad_in.data(), gw, gb);
   return grad_in;
 }
 

@@ -1,10 +1,12 @@
 // Layer abstraction.
 //
-// Layers are stateful: forward() caches whatever backward() needs, so a
-// backward call must follow the forward call whose gradient it computes.
-// backward() accumulates parameter gradients (callers zero them via
-// Model::zero_grad) and returns the gradient with respect to the layer
-// input — the chain every white-box attack rides to get input gradients.
+// Layers are stateful: forward() caches whatever backward() and
+// backward_input() need, so either call must follow the forward call whose
+// gradient it computes. backward() accumulates parameter gradients
+// (callers zero them via Model::zero_grad) and returns the gradient with
+// respect to the layer input. backward_input() returns the same input
+// gradient, bit for bit, and touches no parameter gradient — the chain
+// every white-box attack rides to get input gradients.
 #pragma once
 
 #include <memory>
@@ -33,6 +35,13 @@ class Layer {
   /// Propagate `grad_out` (dL/d output) to dL/d input, accumulating
   /// parameter gradients along the way.
   virtual Tensor backward(const Tensor& grad_out) = 0;
+
+  /// backward() without the parameter gradients: the same dL/d input, bit
+  /// for bit, with no weight- or bias-gradient work and every Param::grad
+  /// left as it was. Layers without parameters inherit backward().
+  virtual Tensor backward_input(const Tensor& grad_out) {
+    return backward(grad_out);
+  }
 
   /// Inference-only forward over a (possibly multi-sample) batch: skips
   /// every backward cache (input copies, ReLU masks, pool argmaxes) and may

@@ -41,6 +41,14 @@ Tensor Model::backward(const Tensor& grad_out) {
   return cur;
 }
 
+Tensor Model::backward_input(const Tensor& grad_out) {
+  Tensor cur = grad_out;
+  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+    cur = (*it)->backward_input(cur);
+  }
+  return cur;
+}
+
 std::vector<Param> Model::params() {
   std::vector<Param> all;
   for (auto& l : layers_) {
@@ -207,9 +215,9 @@ util::Status Model::load_checked(const std::string& path) {
 // ---------------------------------------------------------------------------
 // DifferentiableClassifier
 
-std::vector<double> DifferentiableClassifier::probabilities(
-    const std::vector<double>& x) {
-  const auto z = logits(x);
+namespace {
+
+std::vector<double> softmax(const std::vector<double>& z) {
   double mx = z[0];
   for (double v : z) mx = std::max(mx, v);
   std::vector<double> p(z.size());
@@ -222,13 +230,32 @@ std::vector<double> DifferentiableClassifier::probabilities(
   return p;
 }
 
-std::size_t DifferentiableClassifier::predict(const std::vector<double>& x) {
-  const auto z = logits(x);
+/// d/d logits of -log softmax_label: p_k - [k == label].
+std::vector<double> loss_weights(const std::vector<double>& z,
+                                 std::size_t label) {
+  if (label >= z.size()) throw std::invalid_argument("grad_loss: bad label");
+  auto weights = softmax(z);
+  weights[label] -= 1.0;
+  return weights;
+}
+
+}  // namespace
+
+std::size_t argmax(const std::vector<double>& z) {
   std::size_t best = 0;
   for (std::size_t i = 1; i < z.size(); ++i) {
     if (z[i] > z[best]) best = i;
   }
   return best;
+}
+
+std::vector<double> DifferentiableClassifier::probabilities(
+    const std::vector<double>& x) {
+  return softmax(logits(x));
+}
+
+std::size_t DifferentiableClassifier::predict(const std::vector<double>& x) {
+  return argmax(logits(x));
 }
 
 std::vector<double> DifferentiableClassifier::grad_weighted(
@@ -243,11 +270,13 @@ std::vector<double> DifferentiableClassifier::grad_weighted(
 }
 
 std::vector<double> DifferentiableClassifier::grad_loss(
-    const std::vector<double>& x, std::size_t label) {
+    const std::vector<double>& x, std::size_t label,
+    std::vector<double>* logits_out) {
   // d/dx [-log softmax_label] = sum_k (p_k - [k==label]) * d logit_k / dx.
-  auto weights = probabilities(x);
-  weights[label] -= 1.0;
-  return grad_weighted(x, weights);
+  auto z = logits(x);
+  auto g = grad_weighted(x, loss_weights(z, label));
+  if (logits_out != nullptr) *logits_out = std::move(z);
+  return g;
 }
 
 // ---------------------------------------------------------------------------
@@ -263,8 +292,7 @@ Tensor ModelClassifier::to_input(const std::vector<double>& x) const {
   return t;
 }
 
-std::vector<double> ModelClassifier::logits(const std::vector<double>& x) {
-  const Tensor out = model_->forward(to_input(x), /*training=*/false);
+std::vector<double> ModelClassifier::to_logits(const Tensor& out) const {
   if (out.rank() != 2 || out.dim(0) != 1 || out.dim(1) != classes_) {
     throw std::logic_error("ModelClassifier: unexpected output shape " +
                            out.shape_string());
@@ -272,6 +300,22 @@ std::vector<double> ModelClassifier::logits(const std::vector<double>& x) {
   std::vector<double> z(classes_);
   for (std::size_t i = 0; i < classes_; ++i) z[i] = out[i];
   return z;
+}
+
+std::vector<double> ModelClassifier::input_grad(
+    const std::vector<double>& weights) {
+  Tensor seed({1, classes_});
+  for (std::size_t k = 0; k < classes_; ++k) {
+    seed.at2(0, k) = static_cast<float>(weights[k]);
+  }
+  const Tensor gin = model_->backward_input(seed);
+  std::vector<double> g(dim_);
+  for (std::size_t i = 0; i < dim_; ++i) g[i] = gin[i];
+  return g;
+}
+
+std::vector<double> ModelClassifier::logits(const std::vector<double>& x) {
+  return to_logits(model_->forward(to_input(x), /*training=*/false));
 }
 
 std::vector<std::vector<double>> ModelClassifier::logits_batch(
@@ -322,15 +366,15 @@ std::vector<double> ModelClassifier::grad_weighted(
     throw std::invalid_argument("grad_weighted: weight count mismatch");
   }
   (void)model_->forward(to_input(x), /*training=*/false);
-  Tensor seed({1, classes_});
-  for (std::size_t k = 0; k < classes_; ++k) {
-    seed.at2(0, k) = static_cast<float>(weights[k]);
-  }
-  // Parameter gradients accumulate as a side effect; training never
-  // interleaves with attacks, and trainers zero grads each step anyway.
-  const Tensor gin = model_->backward(seed);
-  std::vector<double> g(dim_);
-  for (std::size_t i = 0; i < dim_; ++i) g[i] = gin[i];
+  return input_grad(weights);
+}
+
+std::vector<double> ModelClassifier::grad_loss(
+    const std::vector<double>& x, std::size_t label,
+    std::vector<double>* logits_out) {
+  auto z = to_logits(model_->forward(to_input(x), /*training=*/false));
+  auto g = input_grad(loss_weights(z, label));
+  if (logits_out != nullptr) *logits_out = std::move(z);
   return g;
 }
 

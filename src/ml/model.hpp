@@ -40,6 +40,11 @@ class Model {
   /// Returns dL/d input; parameter gradients are accumulated.
   Tensor backward(const Tensor& grad_out);
 
+  /// backward() through every layer's backward_input(): the same dL/d
+  /// input, bit for bit, with no parameter-gradient work and every
+  /// gradient buffer left untouched. What the attacks' gradients use.
+  Tensor backward_input(const Tensor& grad_out);
+
   std::vector<Param> params();
   void zero_grad();
   std::size_t num_parameters();
@@ -115,8 +120,23 @@ class DifferentiableClassifier {
   std::size_t predict(const std::vector<double>& x);
   /// Gradient of cross-entropy(label) w.r.t. the input.
   std::vector<double> grad_loss(const std::vector<double>& x,
-                                std::size_t label);
+                                std::size_t label) {
+    return grad_loss(x, label, nullptr);
+  }
+
+  /// grad_loss that also stores in `*logits_out` (when non-null) the
+  /// logits of x it computed on the way, so an iterative attack can test
+  /// for misclassification without another forward. The default composes
+  /// logits() and grad_weighted(): two forwards and one backward. Classes
+  /// that compute both from one forward override it; the gradient and
+  /// logits must stay bitwise equal to this composition.
+  virtual std::vector<double> grad_loss(const std::vector<double>& x,
+                                        std::size_t label,
+                                        std::vector<double>* logits_out);
 };
+
+/// Index of the largest logit; the first one wins a tie (predict()'s rule).
+std::size_t argmax(const std::vector<double>& z);
 
 /// Adapter: a Model whose input is (1, 1, D) and whose output is (1, K).
 class ModelClassifier : public DifferentiableClassifier {
@@ -136,6 +156,11 @@ class ModelClassifier : public DifferentiableClassifier {
   std::vector<double> grad_weighted(
       const std::vector<double>& x,
       const std::vector<double>& weights) override;
+  /// One forward and one input-gradient backward.
+  using DifferentiableClassifier::grad_loss;
+  std::vector<double> grad_loss(const std::vector<double>& x,
+                                std::size_t label,
+                                std::vector<double>* logits_out) override;
 
   /// Clones the underlying Model into a copy that owns its network, so the
   /// replica's lifetime is self-contained. Returns nullptr when the model
@@ -154,6 +179,10 @@ class ModelClassifier : public DifferentiableClassifier {
         owned_(std::move(owned)) {}
 
   Tensor to_input(const std::vector<double>& x) const;
+  /// The (1, K) output of a forward as logits.
+  std::vector<double> to_logits(const Tensor& out) const;
+  /// dL/d input of the last forward, seeded with dL/d logits = weights.
+  std::vector<double> input_grad(const std::vector<double>& weights);
 
   Model* model_;
   std::size_t dim_;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -151,6 +154,72 @@ TEST(Pgd, RespectsEpsilonBall) {
 TEST(Pgd, HighMisclassificationAtPaperEpsilon) {
   Pgd attack(PgdConfig{.epsilon = 0.3, .iterations = 40});
   EXPECT_GE(flip_rate(attack), 0.9);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// PGD with a separate predict() after every step, as Pgd::craft ran before
+/// grad_loss returned the logits. `steps` counts the gradient steps taken.
+std::vector<double> pgd_predict_per_step(ml::DifferentiableClassifier& clf,
+                                         const std::vector<double>& x,
+                                         const PgdConfig& cfg,
+                                         std::uint64_t stream,
+                                         std::size_t& steps) {
+  Rng rng(stream);
+  const std::size_t label = clf.predict(x);
+  const double step = 2.5 * cfg.epsilon / static_cast<double>(cfg.iterations);
+  std::vector<double> adv = x;
+  for (auto& v : adv) v += rng.uniform(-cfg.epsilon, cfg.epsilon);
+  detail::clamp01(adv);
+  steps = 0;
+  for (std::size_t it = 0; it < cfg.iterations; ++it) {
+    const auto g = clf.grad_loss(adv, label);
+    ++steps;
+    for (std::size_t i = 0; i < adv.size(); ++i) {
+      adv[i] += step * detail::sgn(g[i]);
+      adv[i] = std::clamp(adv[i], x[i] - cfg.epsilon, x[i] + cfg.epsilon);
+    }
+    detail::clamp01(adv);
+    if (clf.predict(adv) != label) break;
+  }
+  return adv;
+}
+
+TEST(Pgd, CraftMatchesPredictPerStepLoopBitwise) {
+  auto& tm = shared_model();
+  auto rows = tm.correct_samples(12).first;
+  // Points on the toy task's class boundary, where the random start alone
+  // often flips the prediction: the first check must still follow a step.
+  for (int b = 0; b < 6; ++b) {
+    rows.push_back(std::vector<double>(kDim, 0.49 + 0.004 * b));
+  }
+  std::size_t early = 0, full = 0;
+  // The paper's eps flips most samples within a few steps; a tiny eps
+  // leaves most of them running all 40 iterations.
+  for (const double eps : {0.3, 0.02}) {
+    const PgdConfig cfg{.epsilon = eps, .iterations = 40};
+    Pgd attack(cfg);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      attack.reseed(500 + i);
+      const auto got = attack.craft(tm.clf(), rows[i], 0);
+      std::size_t steps = 0;
+      const auto want =
+          pgd_predict_per_step(tm.clf(), rows[i], cfg, 500 + i, steps);
+      EXPECT_TRUE(same_bits(got, want)) << "eps " << eps << " sample " << i;
+      ++(steps < cfg.iterations ? early : full);
+    }
+  }
+  EXPECT_GT(early, 0u);
+  EXPECT_GT(full, 0u);
 }
 
 TEST(Mim, RespectsEpsilonBall) {
@@ -347,6 +416,23 @@ TEST(Harness, SkipsAlreadyMisclassified) {
   const auto row = run_attack(attack, tm.clf(), rows, wrong, nullptr, {});
   EXPECT_EQ(row.samples, 0u);
   EXPECT_EQ(row.mr(), 0.0);
+}
+
+TEST(Harness, LeavesModelParameterGradientsUntouched) {
+  auto& tm = shared_model();
+  const auto [rows, labels] = tm.correct_samples(3);
+  ml::Model& model = tm.clf().model();
+  model.zero_grad();
+  HarnessOptions opts;
+  opts.threads = 1;  // every craft runs on the caller's classifier
+  for (const auto& attack : make_paper_attacks()) {
+    (void)run_attack(*attack, tm.clf(), rows, labels, nullptr, opts);
+  }
+  for (const auto& p : model.params()) {
+    for (float g : *p.grad) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(g), 0u) << p.name;
+    }
+  }
 }
 
 TEST(Harness, MismatchedLabelsThrow) {

@@ -144,33 +144,69 @@ TEST(Gemm, RandomizedSweepMatchesNaiveAcrossVariants) {
   }
 }
 
+/// True when both buffers hold the same bit patterns.
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(a[i]) !=
+        std::bit_cast<std::uint32_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The chain-order contract makes every path bitwise equal to the scalar
+// fallback: each compiled variant, both transposes, every init mode, row
+// counts below the register tile (the unpacked direct path) and at or
+// above it (the packed tiled path), small and default cache blocks.
 TEST(Gemm, ScalarFallbackParity) {
   util::Rng rng(7);
   kernels::KernelScratch scratch;
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto m = static_cast<std::size_t>(rng.uniform_int(1, 40));
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 60));
-    const auto k = static_cast<std::size_t>(rng.uniform_int(1, 80));
-    const auto a = random_vec(rng, m * k);
-    const auto b = random_vec(rng, k * n);
-    const auto bias = random_vec(rng, m);
-    kernels::GemmSpec spec;
-    spec.m = m;
-    spec.n = n;
-    spec.k = k;
-    spec.a = a.data();
-    spec.lda = k;
-    spec.b = b.data();
-    spec.ldb = n;
-    spec.ldc = n;
-    spec.bias_row = bias.data();
+  for (const auto& [mr, nr] : kernels::microkernel_variants()) {
+    for (int trans = 0; trans < 4; ++trans) {
+      for (int init = 0; init < 4; ++init) {
+        for (const bool small_blocks : {false, true}) {
+          for (const bool below_tile : {true, false}) {
+            const auto m = static_cast<std::size_t>(
+                below_tile ? rng.uniform_int(1, mr - 1)
+                           : rng.uniform_int(mr, 40));
+            const auto n = static_cast<std::size_t>(rng.uniform_int(1, 60));
+            const auto k = static_cast<std::size_t>(rng.uniform_int(1, 80));
+            kernels::GemmSpec spec;
+            spec.m = m;
+            spec.n = n;
+            spec.k = k;
+            spec.trans_a = (trans & 1) != 0;
+            spec.trans_b = (trans & 2) != 0;
+            const auto a = random_vec(rng, m * k);
+            const auto b = random_vec(rng, k * n);
+            const auto bias = random_vec(rng, m + n);
+            spec.a = a.data();
+            spec.lda = spec.trans_a ? m : k;
+            spec.b = b.data();
+            spec.ldb = spec.trans_b ? k : n;
+            spec.ldc = n;
+            if (init == 0) spec.bias_row = bias.data();
+            else if (init == 1) spec.bias_col = bias.data() + m;
+            else if (init == 2) spec.accumulate = true;
+            const auto c0 = random_vec(rng, m * n);  // accumulate seed
 
-    std::vector<float> tiled(m * n), scalar(m * n);
-    spec.c = tiled.data();
-    kernels::gemm(spec, kernels::default_config(), scratch);
-    spec.c = scalar.data();
-    kernels::gemm(spec, kernels::scalar_config(), scratch);
-    expect_all_close(tiled, scalar, 4, 1e-5f, "tiled-vs-scalar");
+            const auto cfg = small_blocks ? tiled_cfg(mr, nr, 16, 24, 32)
+                                          : tiled_cfg(mr, nr, 64, 256, 512);
+            std::vector<float> tiled = c0, scalar = c0;
+            spec.c = tiled.data();
+            kernels::gemm(spec, cfg, scratch);
+            spec.c = scalar.data();
+            kernels::gemm(spec, kernels::scalar_config(), scratch);
+            EXPECT_TRUE(bitwise_equal(tiled, scalar))
+                << "m=" << m << " n=" << n << " k=" << k
+                << " trans_a=" << spec.trans_a << " trans_b=" << spec.trans_b
+                << " init=" << init << " cfg=" << cfg.summary();
+          }
+        }
+      }
+    }
   }
 }
 
@@ -244,6 +280,12 @@ TEST(ConvLowering, BackwardMatchesSeedReferenceSweep) {
         expect_all_close(gb_got, gb_want, 4, 1e-5f, tag + " gb");
         expect_all_close(gw_got, gw_want, 256, 1e-3f, tag + " gw");
         expect_all_close(gx_got, gx_want, 256, 1e-3f, tag + " gx");
+        // Null parameter-gradient buffers skip that work and nothing else.
+        std::vector<float> gx_only(xsz, 0.0f);
+        kernels::conv1d_backward(c.shape, c.x.data(), c.w.data(),
+                                 grad_out.data(), gx_only.data(), nullptr,
+                                 nullptr);
+        EXPECT_TRUE(bitwise_equal(gx_only, gx_got)) << tag << " gx only";
       }
     }
   }
@@ -279,6 +321,10 @@ TEST(ConvLowering, DenseMatchesSeedReferenceSweep) {
       expect_all_close(gb_got, gb_want, 4, 1e-5f, "dense gb");
       expect_all_close(gw_got, gw_want, 64, 1e-4f, "dense gw");
       expect_all_close(gx_got, gx_want, 64, 1e-4f, "dense gx");
+      std::vector<float> gx_only(n * in, 0.0f);
+      kernels::dense_backward(n, in, out, x.data(), w.data(), grad_out.data(),
+                              gx_only.data(), nullptr, nullptr);
+      EXPECT_TRUE(bitwise_equal(gx_only, gx_got)) << "dense gx only";
     }
   }
 }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 
@@ -566,6 +568,162 @@ TEST(ModelClassifier, GradLossPointsDownhill) {
   auto x2 = x;
   for (std::size_t i = 0; i < x2.size(); ++i) x2[i] += 0.05 * g[i];
   EXPECT_LE(clf.probabilities(x2)[label], clf.probabilities(x)[label] + 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Input-gradient path
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(a[i]) !=
+        std::bit_cast<std::uint32_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool all_param_grads_zero(Model& m) {
+  for (const auto& p : m.params()) {
+    for (float g : *p.grad) {
+      if (std::bit_cast<std::uint32_t>(g) != 0u) return false;
+    }
+  }
+  return true;
+}
+
+TEST(Model, BackwardInputMatchesBackwardWithoutParamGrads) {
+  Rng drng(1);
+  Model m = make_paper_cnn(23, 2, drng);
+  Rng wrng(12);
+  m.init(wrng);
+  for (std::size_t n : {1u, 3u, 16u}) {
+    const Tensor x = random_tensor({n, 1, 23}, 40 + n);
+    const Tensor seed = random_tensor({n, 2}, 60 + n);
+    m.zero_grad();
+    (void)m.forward(x, false);
+    const Tensor full = m.backward(seed);
+    EXPECT_FALSE(all_param_grads_zero(m)) << "backward() must fill grads";
+
+    m.zero_grad();
+    (void)m.forward(x, false);
+    const Tensor input_only = m.backward_input(seed);
+    EXPECT_TRUE(same_bits(full, input_only)) << "batch " << n;
+    EXPECT_TRUE(all_param_grads_zero(m)) << "batch " << n;
+  }
+}
+
+/// Forwards logits, grad_logit and grad_weighted to a ModelClassifier and
+/// nothing else, so grad_loss runs the base class's composition.
+class ComposedClassifier : public DifferentiableClassifier {
+ public:
+  explicit ComposedClassifier(ModelClassifier& inner) : inner_(&inner) {}
+  std::size_t input_dim() const override { return inner_->input_dim(); }
+  std::size_t num_classes() const override { return inner_->num_classes(); }
+  std::vector<double> logits(const std::vector<double>& x) override {
+    return inner_->logits(x);
+  }
+  std::vector<double> grad_logit(const std::vector<double>& x,
+                                 std::size_t k) override {
+    return inner_->grad_logit(x, k);
+  }
+  std::vector<double> grad_weighted(const std::vector<double>& x,
+                                    const std::vector<double>& w) override {
+    return inner_->grad_weighted(x, w);
+  }
+
+ private:
+  ModelClassifier* inner_;
+};
+
+TEST(ModelClassifier, GradLossLogitsAndGradientMatchComposition) {
+  for (std::size_t classes : {2u, 4u}) {
+    Rng drng(1);
+    Model m = make_paper_cnn(23, classes, drng);
+    Rng wrng(13);
+    m.init(wrng);
+    ModelClassifier clf(m, 23, classes);
+    ComposedClassifier composed(clf);
+    Rng rng(14);
+    for (std::size_t trial = 0; trial < 6; ++trial) {
+      std::vector<double> x(23);
+      for (auto& v : x) v = rng.uniform(0.0, 1.0);
+      const std::size_t label = trial % classes;
+      std::vector<double> z;
+      const auto g = clf.grad_loss(x, label, &z);
+      EXPECT_TRUE(same_bits(z, clf.logits(x)));
+      EXPECT_TRUE(same_bits(g, composed.grad_loss(x, label)));
+      std::vector<double> z_composed;
+      EXPECT_TRUE(same_bits(g, composed.grad_loss(x, label, &z_composed)));
+      EXPECT_TRUE(same_bits(z, z_composed));
+      EXPECT_TRUE(same_bits(g, clf.grad_loss(x, label)));
+    }
+    EXPECT_THROW(clf.grad_loss(std::vector<double>(23, 0.5), classes, nullptr),
+                 std::invalid_argument);
+  }
+}
+
+/// Identity layer that counts the passes run through it.
+struct PassCounts {
+  int forward = 0, backward = 0, backward_input = 0;
+};
+
+class CountingIdentity : public Layer {
+ public:
+  explicit CountingIdentity(PassCounts& counts) : counts_(&counts) {}
+  Tensor forward(const Tensor& x, bool) override {
+    ++counts_->forward;
+    return x;
+  }
+  Tensor backward(const Tensor& g) override {
+    ++counts_->backward;
+    return g;
+  }
+  Tensor backward_input(const Tensor& g) override {
+    ++counts_->backward_input;
+    return g;
+  }
+  std::string describe() const override { return "CountingIdentity"; }
+
+ private:
+  PassCounts* counts_;
+};
+
+TEST(ModelClassifier, GradLossRunsOneForwardAndOneInputBackward) {
+  PassCounts counts;
+  Model m;
+  m.add(std::make_unique<CountingIdentity>(counts));
+  m.add(std::make_unique<Flatten>());
+  m.add(std::make_unique<Dense>(4, 2));
+  Rng wrng(15);
+  m.init(wrng);
+  ModelClassifier clf(m, 4, 2);
+  const std::vector<double> x = {0.1, 0.7, 0.3, 0.9};
+
+  std::vector<double> z;
+  (void)clf.grad_loss(x, 1, &z);
+  EXPECT_EQ(counts.forward, 1);
+  EXPECT_EQ(counts.backward_input, 1);
+  EXPECT_EQ(counts.backward, 0);
+
+  counts = {};
+  ComposedClassifier composed(clf);
+  (void)composed.grad_loss(x, 1, &z);
+  EXPECT_EQ(counts.forward, 2);
+  EXPECT_EQ(counts.backward_input, 1);
+  EXPECT_EQ(counts.backward, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -599,6 +599,12 @@ TEST(Transport, CountersMirrorIntoMetricsRegistry) {
   auto r = client.detect(synthetic_row(rng));
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
 
+  // The event loop counts bytes_written once write() returns, which can be
+  // after the client has already read the response; wait (bounded) for
+  // that accounting before taking the snapshot.
+  for (int i = 0; i < 2000 && rig.transport->stats().bytes_written == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const auto snap = rig.transport->stats();
   EXPECT_GE(snap.accepted, 1u);
   EXPECT_GE(snap.requests, 1u);
