@@ -46,10 +46,12 @@ int main() {
     endfunc
   )");
 
-  const auto cfg_org = cfg::extract_cfg(original, {.main_only = true});
-  const auto cfg_sel = cfg::extract_cfg(selected, {.main_only = true});
+  // Labelled blocks: the DOT figures show each block's disassembly.
+  const cfg::CfgOptions dot_opts{.main_only = true, .label_blocks = true};
+  const auto cfg_org = cfg::extract_cfg(original, dot_opts);
+  const auto cfg_sel = cfg::extract_cfg(selected, dot_opts);
   const auto merged = aug::embed_program(original, selected);
-  const auto cfg_merged = cfg::extract_cfg(merged, {.main_only = true});
+  const auto cfg_merged = cfg::extract_cfg(merged, dot_opts);
 
   std::printf("Fig. 2 (original):  %zu nodes, %zu edges\n",
               cfg_org.num_nodes(), cfg_org.num_edges());

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
               program.size(), program.functions().size());
   std::printf("%s\n", program.disassemble().c_str());
 
-  const auto c = cfg::extract_cfg(program);
+  const auto c = cfg::extract_cfg(program, {.label_blocks = true});  // for DOT
   std::printf("CFG: %zu basic blocks, %zu edges, entry block %u, %zu exit "
               "block(s)\n\n",
               c.num_nodes(), c.num_edges(), c.entry, c.exit_nodes.size());

@@ -58,7 +58,9 @@ int main() {
     const auto& target = corpus.samples()[ti];
 
     const auto merged = aug::embed_program(victim->program, target.program);
-    const auto merged_cfg = cfg::extract_cfg(merged, {.main_only = true});
+    // Labelled: an evading graft is written out as DOT below.
+    const auto merged_cfg =
+        cfg::extract_cfg(merged, {.main_only = true, .label_blocks = true});
     const auto fv = features::extract_features(merged_cfg.graph);
     const auto scaled = pipeline.scaler().transform(fv);
     const std::vector<double> x(scaled.begin(), scaled.end());

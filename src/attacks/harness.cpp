@@ -150,9 +150,18 @@ AttackRow run_attack(Attack& attack, ml::DifferentiableClassifier& clf,
       throw std::runtime_error(status.to_string());
     }
 
+    // The wave's crafted vectors are classified in one batched call (row k
+    // bitwise equal to a per-row predict).
+    std::vector<std::vector<double>> advs;
+    for (Slot& slot : slots) {
+      if (!slot.error) advs.push_back(std::move(slot.adv));
+    }
+    const auto z = clf.logits_batch(advs);
+
     // Merge in index order: quarantine accounting, prediction, validation,
     // and the floating-point reductions all happen serially in row order,
     // so the statistics are bitwise reproducible.
+    std::size_t next = 0;  // index into advs and z
     for (std::size_t i = 0; i < wave.size(); ++i) {
       const std::size_t s = wave[i];
       Slot& slot = slots[i];
@@ -171,8 +180,9 @@ AttackRow run_attack(Attack& attack, ml::DifferentiableClassifier& clf,
         }
         continue;
       }
+      const std::size_t k = next++;
       const auto& x = rows[s];
-      const auto& adv = slot.adv;
+      const auto& adv = advs[k];
       total_ms += slot.ms;
       craft_ms_hist.observe(slot.ms);
       crafted_total.inc();
@@ -188,7 +198,7 @@ AttackRow run_attack(Attack& attack, ml::DifferentiableClassifier& clf,
       total_changed += static_cast<double>(changed);
       total_l2 += std::sqrt(l2sq);
 
-      if (clf.predict(adv) != labels[s]) {
+      if (ml::argmax(z[k]) != labels[s]) {
         ++out.misclassified;
         misclassified_total.inc();
       }

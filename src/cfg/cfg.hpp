@@ -38,8 +38,10 @@ struct CfgOptions {
   /// the paper's per-binary CFGs keep functions as separate components.
   /// Ignored when main_only is set.
   bool call_edges = false;
-  /// Put disassembly text on node labels (for DOT rendering).
-  bool label_blocks = true;
+  /// Put disassembly text on node labels. Off by default: only DOT
+  /// rendering reads the labels, and rendering every block's text costs
+  /// more than extracting the graph. Callers that write DOT turn it on.
+  bool label_blocks = false;
   /// Maximum instructions shown per label.
   std::size_t label_max_instructions = 6;
 };

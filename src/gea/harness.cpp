@@ -12,63 +12,81 @@
 
 namespace gea::aug {
 
-GeaRow GeaHarness::attack_with_target(std::uint8_t source_label,
-                                      std::size_t target_index,
-                                      const GeaHarnessOptions& opts) const {
+struct GeaHarness::Sweep {
+  /// (corpus index, predicted class) of every crafted sample.
+  std::vector<std::pair<std::size_t, std::size_t>> predicted;
+  std::size_t quarantined = 0;
+  std::vector<std::string> diagnostics;
+  std::size_t verified = 0;
+  std::size_t equivalent = 0;
+  double total_ms = 0.0;  // summed craft time of the crafted samples
+};
+
+namespace {
+
+/// Batch scorer for select_by_size_confident_batch: the classifier's
+/// probability of class `cls` for every candidate, from one batched call.
+auto confidence_in(const features::FeatureScaler& scaler,
+                   ml::DifferentiableClassifier& clf, std::uint8_t cls) {
+  return [&scaler, &clf,
+          cls](const std::vector<const dataset::Sample*>& cands) {
+    std::vector<std::vector<double>> xs;
+    xs.reserve(cands.size());
+    for (const dataset::Sample* s : cands) {
+      const auto scaled = scaler.transform(s->features);
+      xs.emplace_back(scaled.begin(), scaled.end());
+    }
+    std::vector<double> scores;
+    scores.reserve(cands.size());
+    for (const auto& p : clf.probabilities_batch(xs)) scores.push_back(p[cls]);
+    return scores;
+  };
+}
+
+}  // namespace
+
+GeaHarness::Sweep GeaHarness::sweep(
+    std::size_t target_index, const GeaHarnessOptions& opts,
+    std::size_t verify_every, const char* name,
+    const std::function<bool(const dataset::Sample&)>& is_source) const {
   const auto& samples = corpus_->samples();
-  if (target_index >= samples.size()) {
-    throw std::invalid_argument("attack_with_target: bad target index");
-  }
   const dataset::Sample& target = samples[target_index];
-  if (target.label == source_label) {
-    throw std::invalid_argument(
-        "attack_with_target: target must be from the opposite class");
-  }
 
-  GeaRow row;
-  row.target_nodes = target.num_nodes();
-  row.target_edges = target.num_edges();
-
-  // One span per target sweep; per-sample splice+featurize times land in
-  // "gea.craft_ms" (the Tables IV-VII CT column as a distribution).
-  obs::TraceSpan run_span("gea.attack_with_target");
+  // Per-sample splice+featurize times land in "gea.craft_ms" (the Tables
+  // IV-VII CT column as a distribution).
   auto& registry = obs::MetricsRegistry::global();
   obs::Histogram& craft_ms_hist = registry.histogram("gea.craft_ms");
   obs::Counter& crafted_total = registry.counter("gea.crafted_total");
-  obs::Counter& misclassified_total =
-      registry.counter("gea.misclassified_total");
   obs::Counter& quarantined_total = registry.counter("gea.quarantined_total");
   obs::Counter& verified_total = registry.counter("gea.verified_total");
   obs::Counter& equivalent_total = registry.counter("gea.equivalent_total");
 
-  double total_ms = 0.0;
-  std::size_t verified = 0, equivalent = 0;
-
   struct Slot {
-    isa::Program augmented;
+    isa::Program augmented;  // kept only when verifying
     features::FeatureVector fv{};
     double ms = 0.0;
     std::exception_ptr error;
   };
 
+  Sweep out;
   // Wave loop (see run_attack): under a sample cap, quarantined crafts do
   // not count toward the cap, so candidates are collected in waves of
   // `cap - samples` until the cap is met — visiting exactly the samples the
   // serial loop would.
   std::size_t pos = 0;
   while (pos < samples.size() &&
-         (opts.max_samples == 0 || row.samples < opts.max_samples)) {
-    const std::size_t need =
-        opts.max_samples == 0 ? samples.size() : opts.max_samples - row.samples;
+         (opts.max_samples == 0 || out.predicted.size() < opts.max_samples)) {
+    const std::size_t need = opts.max_samples == 0
+                                 ? samples.size()
+                                 : opts.max_samples - out.predicted.size();
 
-    // Serial scan in corpus order: class filter plus the correctly-
-    // classified eligibility check (the classifier is not thread-safe and
-    // stays on this thread throughout).
+    // Serial scan in corpus order: source filter plus the correctly-
+    // classified eligibility check.
     std::vector<std::size_t> wave;
     while (pos < samples.size() && wave.size() < need) {
       const std::size_t i = pos++;
       const dataset::Sample& s = samples[i];
-      if (s.label != source_label || i == target_index) continue;
+      if (i == target_index || !is_source(s)) continue;
       if (opts.skip_already_misclassified) {
         const auto t = scaler_->transform(s.features);
         const std::vector<double> scaled_orig(t.begin(), t.end());
@@ -85,7 +103,7 @@ GeaRow GeaHarness::attack_with_target(std::uint8_t source_label,
     // features) are captured in the slot so one degenerate binary cannot
     // abort a whole sweep.
     std::vector<Slot> slots(wave.size());
-    const auto status = util::parallel_for(
+    auto status = util::parallel_for(
         wave.size(),
         [&](std::size_t w) {
           const dataset::Sample& s = samples[wave[w]];
@@ -104,21 +122,26 @@ GeaRow GeaHarness::attack_with_target(std::uint8_t source_label,
                   features::feature_name(
                       features::first_non_finite(slots[w].fv)));
             }
-            slots[w].augmented = std::move(crafted.program);
+            if (verify_every != 0) {
+              slots[w].augmented = std::move(crafted.program);
+            }
           } catch (...) {
             slots[w].error = std::current_exception();
           }
           slots[w].ms = sw.elapsed_ms();
           return util::Status::ok();
         },
-        {.threads = opts.threads, .label = "gea harness"});
+        {.threads = opts.threads, .label = name});
     if (!status.is_ok()) {
       throw std::runtime_error(status.to_string());
     }
 
-    // Merge in corpus order: quarantine accounting, classification, and
-    // stride-based equivalence verification are serial, so the row (which
-    // samples verified included) is bitwise identical at any thread count.
+    // Serial merge in corpus order: quarantine accounting, one batched
+    // classification of the crafted samples, and the verification stride
+    // over crafted samples only, so which samples get verified does not
+    // depend on the thread count.
+    std::vector<std::size_t> crafted;  // wave positions that crafted cleanly
+    std::vector<std::vector<double>> xs;
     for (std::size_t w = 0; w < wave.size(); ++w) {
       const dataset::Sample& s = samples[wave[w]];
       Slot& slot = slots[w];
@@ -132,44 +155,97 @@ GeaRow GeaHarness::attack_with_target(std::uint8_t source_label,
         } catch (...) {
           diag += "non-standard exception";
         }
-        ++row.quarantined;
+        ++out.quarantined;
         quarantined_total.inc();
-        if (row.diagnostics.size() < opts.max_diagnostics) {
-          row.diagnostics.push_back(diag);
+        if (out.diagnostics.size() < opts.max_diagnostics) {
+          out.diagnostics.push_back(diag);
         }
-        util::log_warn("gea harness: quarantined ", diag);
+        util::log_warn(name, ": quarantined ", diag);
         continue;
       }
-      total_ms += slot.ms;
+      out.total_ms += slot.ms;
       craft_ms_hist.observe(slot.ms);
       crafted_total.inc();
-
       const auto scaled = scaler_->transform(slot.fv);
-      const std::vector<double> x(scaled.begin(), scaled.end());
-      ++row.samples;
-      if (clf_->predict(x) != s.label) {
-        ++row.misclassified;
-        misclassified_total.inc();
+      xs.emplace_back(scaled.begin(), scaled.end());
+      crafted.push_back(w);
+    }
+    const auto z = clf_->logits_batch(xs);
+    std::vector<std::size_t> picked;  // wave positions to verify
+    for (std::size_t k = 0; k < crafted.size(); ++k) {
+      out.predicted.emplace_back(wave[crafted[k]], ml::argmax(z[k]));
+      if (verify_every != 0 && (out.predicted.size() - 1) % verify_every == 0) {
+        picked.push_back(crafted[k]);
       }
+    }
 
-      if (opts.verify_every != 0 &&
-          (row.samples - 1) % opts.verify_every == 0) {
-        ++verified;
-        verified_total.inc();
-        if (functionally_equivalent(s.program, slot.augmented)) {
-          ++equivalent;
-          equivalent_total.inc();
-        }
+    // Parallel verification of the picked samples: each check executes two
+    // programs and reads nothing shared, so only the counting is serial.
+    std::vector<char> equivalent(picked.size(), 0);
+    status = util::parallel_for(
+        picked.size(),
+        [&](std::size_t k) {
+          const std::size_t w = picked[k];
+          equivalent[k] = functionally_equivalent(samples[wave[w]].program,
+                                                  slots[w].augmented);
+          return util::Status::ok();
+        },
+        {.threads = opts.threads, .label = name});
+    if (!status.is_ok()) {
+      throw std::runtime_error(status.to_string());
+    }
+    for (const char eq : equivalent) {
+      ++out.verified;
+      verified_total.inc();
+      if (eq) {
+        ++out.equivalent;
+        equivalent_total.inc();
       }
     }
   }
+  return out;
+}
 
-  if (row.samples > 0) {
-    row.craft_ms_per_sample = total_ms / static_cast<double>(row.samples);
+GeaRow GeaHarness::attack_with_target(std::uint8_t source_label,
+                                      std::size_t target_index,
+                                      const GeaHarnessOptions& opts) const {
+  const auto& samples = corpus_->samples();
+  if (target_index >= samples.size()) {
+    throw std::invalid_argument("attack_with_target: bad target index");
   }
-  row.equivalence_rate =
-      verified == 0 ? 0.0
-                    : static_cast<double>(equivalent) / static_cast<double>(verified);
+  const dataset::Sample& target = samples[target_index];
+  if (target.label == source_label) {
+    throw std::invalid_argument(
+        "attack_with_target: target must be from the opposite class");
+  }
+
+  GeaRow row;
+  row.target_nodes = target.num_nodes();
+  row.target_edges = target.num_edges();
+
+  obs::TraceSpan run_span("gea.attack_with_target");
+  Sweep sw = sweep(
+      target_index, opts, opts.verify_every, "gea harness",
+      [&](const dataset::Sample& s) { return s.label == source_label; });
+
+  obs::Counter& misclassified_total =
+      obs::MetricsRegistry::global().counter("gea.misclassified_total");
+  for (const auto& [i, pred] : sw.predicted) {
+    if (pred != samples[i].label) {
+      ++row.misclassified;
+      misclassified_total.inc();
+    }
+  }
+  row.samples = sw.predicted.size();
+  row.quarantined = sw.quarantined;
+  row.diagnostics = std::move(sw.diagnostics);
+  if (row.samples > 0) {
+    row.craft_ms_per_sample = sw.total_ms / static_cast<double>(row.samples);
+  }
+  row.equivalence_rate = sw.verified == 0
+                             ? 0.0
+                             : static_cast<double>(sw.equivalent) /
+                                   static_cast<double>(sw.verified);
   return row;
 }
 
@@ -195,121 +271,39 @@ FamilyEvasionReport GeaHarness::family_attack(
   FamilyEvasionReport rep;
   rep.matrix = ml::MultiConfusion(schema.num_classes());
 
+  // Every other class is a source; no equivalence verification.
   obs::TraceSpan run_span("gea.family_attack");
+  Sweep sw = sweep(target_index, opts, /*verify_every=*/0, "gea family",
+                   [&](const dataset::Sample& s) {
+                     if (s.label == target_class) return false;
+                     if (!schema.valid_label(s.label)) {
+                       throw std::invalid_argument(
+                           "family_attack: sample " + std::to_string(s.id) +
+                           " label outside schema (relabel the corpus first)");
+                     }
+                     return true;
+                   });
+
   auto& registry = obs::MetricsRegistry::global();
-  obs::Histogram& craft_ms_hist = registry.histogram("gea.craft_ms");
-  obs::Counter& crafted_total = registry.counter("gea.crafted_total");
   obs::Counter& targeted_total = registry.counter("gea.family_targeted_total");
   obs::Counter& evaded_total = registry.counter("gea.family_evaded_total");
-  obs::Counter& quarantined_total = registry.counter("gea.quarantined_total");
-
-  double total_ms = 0.0;
-
-  struct Slot {
-    features::FeatureVector fv{};
-    double ms = 0.0;
-    std::exception_ptr error;
-  };
-
-  // Same wave discipline as attack_with_target: serial scan for eligible
-  // sources, parallel craft, serial merge — bitwise identical at any
-  // thread count.
-  std::size_t pos = 0;
-  while (pos < samples.size() &&
-         (opts.max_samples == 0 || rep.samples < opts.max_samples)) {
-    const std::size_t need =
-        opts.max_samples == 0 ? samples.size() : opts.max_samples - rep.samples;
-
-    std::vector<std::size_t> wave;
-    while (pos < samples.size() && wave.size() < need) {
-      const std::size_t i = pos++;
-      const dataset::Sample& s = samples[i];
-      if (s.label == target_class || i == target_index) continue;
-      if (!schema.valid_label(s.label)) {
-        throw std::invalid_argument(
-            "family_attack: sample " + std::to_string(s.id) +
-            " label outside schema (relabel the corpus first)");
-      }
-      if (opts.skip_already_misclassified) {
-        const auto t = scaler_->transform(s.features);
-        const std::vector<double> scaled_orig(t.begin(), t.end());
-        if (clf_->predict(scaled_orig) != s.label) continue;
-      }
-      wave.push_back(i);
+  for (const auto& [i, pred] : sw.predicted) {
+    const std::uint8_t label = samples[i].label;
+    rep.matrix.at(label, pred) += 1;
+    if (pred == target_class) {
+      ++rep.targeted_hits;
+      targeted_total.inc();
     }
-    if (wave.empty()) break;
-
-    std::vector<Slot> slots(wave.size());
-    const auto status = util::parallel_for(
-        wave.size(),
-        [&](std::size_t w) {
-          const dataset::Sample& s = samples[wave[w]];
-          util::Stopwatch sw;
-          try {
-            EmbedResult crafted =
-                embed_with_cfg(s.program, target.program, opts.embed);
-            slots[w].fv = features::FeatureEngine::local().extract(
-                crafted.cfg.graph, feature_cache_.get());
-            if (!features::all_finite(slots[w].fv)) {
-              throw std::runtime_error(
-                  "non-finite feature " +
-                  features::feature_name(
-                      features::first_non_finite(slots[w].fv)));
-            }
-          } catch (...) {
-            slots[w].error = std::current_exception();
-          }
-          slots[w].ms = sw.elapsed_ms();
-          return util::Status::ok();
-        },
-        {.threads = opts.threads, .label = "gea family"});
-    if (!status.is_ok()) {
-      throw std::runtime_error(status.to_string());
-    }
-
-    for (std::size_t w = 0; w < wave.size(); ++w) {
-      const dataset::Sample& s = samples[wave[w]];
-      Slot& slot = slots[w];
-      if (slot.error) {
-        if (opts.strict) std::rethrow_exception(slot.error);
-        std::string diag = "sample " + std::to_string(s.id) + ": ";
-        try {
-          std::rethrow_exception(slot.error);
-        } catch (const std::exception& e) {
-          diag += e.what();
-        } catch (...) {
-          diag += "non-standard exception";
-        }
-        ++rep.quarantined;
-        quarantined_total.inc();
-        if (rep.diagnostics.size() < opts.max_diagnostics) {
-          rep.diagnostics.push_back(diag);
-        }
-        util::log_warn("gea family: quarantined ", diag);
-        continue;
-      }
-      total_ms += slot.ms;
-      craft_ms_hist.observe(slot.ms);
-      crafted_total.inc();
-
-      const auto scaled = scaler_->transform(slot.fv);
-      const std::vector<double> x(scaled.begin(), scaled.end());
-      const std::uint8_t pred = clf_->predict(x);
-      ++rep.samples;
-      rep.matrix.at(s.label, pred) += 1;
-      if (pred == target_class) {
-        ++rep.targeted_hits;
-        targeted_total.inc();
-      }
-      if (pred != s.label) {
-        ++rep.evaded;
-        evaded_total.inc();
-      }
+    if (pred != label) {
+      ++rep.evaded;
+      evaded_total.inc();
     }
   }
-
+  rep.samples = sw.predicted.size();
+  rep.quarantined = sw.quarantined;
+  rep.diagnostics = std::move(sw.diagnostics);
   if (rep.samples > 0) {
-    rep.craft_ms_per_sample = total_ms / static_cast<double>(rep.samples);
+    rep.craft_ms_per_sample = sw.total_ms / static_cast<double>(rep.samples);
   }
   return rep;
 }
@@ -319,17 +313,11 @@ FamilyEvasionReport GeaHarness::family_evasion_matrix(
   FamilyEvasionReport out;
   out.matrix = ml::MultiConfusion(schema.num_classes());
   double weighted_ms = 0.0;
-  auto confidence_for = [&](std::uint8_t cls) {
-    return [this, cls](const dataset::Sample& s) {
-      const auto scaled = scaler_->transform(s.features);
-      return clf_->probabilities({scaled.begin(), scaled.end()})[cls];
-    };
-  };
   for (std::size_t c = 0; c < schema.num_classes(); ++c) {
     const auto cls = static_cast<std::uint8_t>(c);
     if (corpus_->count_label(cls) == 0) continue;
-    const std::size_t donor = select_by_size_confident(
-        *corpus_, cls, SizeRank::kMedian, confidence_for(cls));
+    const std::size_t donor = select_by_size_confident_batch(
+        *corpus_, cls, SizeRank::kMedian, confidence_in(*scaler_, *clf_, cls));
     FamilyEvasionReport rep = family_attack(donor, schema, opts);
     out.samples += rep.samples;
     out.targeted_hits += rep.targeted_hits;
@@ -357,15 +345,12 @@ std::vector<GeaRow> GeaHarness::size_sweep(std::uint8_t source_label,
       source_label == dataset::kBenign ? dataset::kMalicious : dataset::kBenign;
   // Among similarly-sized candidates, graft the one the detector classifies
   // most confidently as the target class (see select_by_size_confident).
-  auto confidence = [&](const dataset::Sample& s) {
-    const auto scaled = scaler_->transform(s.features);
-    return clf_->probabilities({scaled.begin(), scaled.end()})[target_label];
-  };
+  const auto confidence = confidence_in(*scaler_, *clf_, target_label);
   std::vector<GeaRow> rows;
   for (SizeRank rank :
        {SizeRank::kMinimum, SizeRank::kMedian, SizeRank::kMaximum}) {
-    const std::size_t t =
-        select_by_size_confident(*corpus_, target_label, rank, confidence);
+    const std::size_t t = select_by_size_confident_batch(*corpus_, target_label,
+                                                         rank, confidence);
     GeaRow row = attack_with_target(source_label, t, opts);
     row.label = size_rank_name(rank);
     rows.push_back(std::move(row));

@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "dataset/corpus.hpp"
 #include "features/engine.hpp"
@@ -88,10 +88,12 @@ struct GeaHarnessOptions {
   bool strict = false;
   /// Cap on retained per-sample failure diagnostics.
   std::size_t max_diagnostics = 8;
-  /// Worker threads for crafting (splice + CFG + featurization): 0 = auto
-  /// (GEA_THREADS / hardware_concurrency, serial while fault injection is
-  /// armed), 1 = serial. Classification and equivalence verification run
-  /// serially at merge, so the row is bitwise identical at any count.
+  /// Worker threads for crafting (splice + CFG + featurization) and for
+  /// equivalence verification: 0 = auto (GEA_THREADS /
+  /// hardware_concurrency, serial while fault injection is armed), 1 =
+  /// serial. Classification, the choice of samples to verify and all
+  /// counting happen at the serial merge, so the row is bitwise identical
+  /// at any count.
   std::size_t threads = 0;
 };
 
@@ -154,6 +156,20 @@ class GeaHarness {
   }
 
  private:
+  /// What the wave loop of one target produced, in corpus order.
+  struct Sweep;
+  /// The wave loop attack_with_target and family_attack share: a serial
+  /// scan picks the sources (`is_source`, not the target, and correctly
+  /// classified when opts asks for it); workers splice and featurize them;
+  /// a serial merge quarantines failed crafts, classifies the rest with one
+  /// logits_batch call and picks every `verify_every`-th crafted sample
+  /// (0 = none); workers then verify the picked ones. `name` labels logs
+  /// and pool errors.
+  Sweep sweep(
+      std::size_t target_index, const GeaHarnessOptions& opts,
+      std::size_t verify_every, const char* name,
+      const std::function<bool(const dataset::Sample&)>& is_source) const;
+
   const dataset::Corpus* corpus_;
   const features::FeatureScaler* scaler_;
   ml::DifferentiableClassifier* clf_;

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 namespace gea::aug {
 
@@ -37,6 +38,22 @@ std::size_t select_by_size_confident(
     const dataset::Corpus& corpus, std::uint8_t label, SizeRank rank,
     const std::function<double(const dataset::Sample&)>& score,
     std::size_t window) {
+  return select_by_size_confident_batch(
+      corpus, label, rank,
+      [&](const std::vector<const dataset::Sample*>& candidates) {
+        std::vector<double> scores;
+        scores.reserve(candidates.size());
+        for (const dataset::Sample* s : candidates) scores.push_back(score(*s));
+        return scores;
+      },
+      window);
+}
+
+std::size_t select_by_size_confident_batch(
+    const dataset::Corpus& corpus, std::uint8_t label, SizeRank rank,
+    const std::function<std::vector<double>(
+        const std::vector<const dataset::Sample*>&)>& score,
+    std::size_t window) {
   auto idx = corpus.indices_of(label);
   if (idx.empty()) {
     throw std::invalid_argument("select_by_size_confident: no samples");
@@ -53,16 +70,23 @@ std::size_t select_by_size_confident(
   }
   const std::size_t lo = anchor >= window / 2 ? anchor - window / 2 : 0;
   const std::size_t hi = std::min(idx.size(), lo + window);
-  std::size_t best = idx[anchor];
-  double best_score = score(corpus.samples()[best]);
+  std::vector<std::size_t> order{idx[anchor]};
   for (std::size_t k = lo; k < hi; ++k) {
-    const double s = score(corpus.samples()[idx[k]]);
-    if (s > best_score) {
-      best_score = s;
-      best = idx[k];
-    }
+    if (k != anchor) order.push_back(idx[k]);
   }
-  return best;
+  std::vector<const dataset::Sample*> candidates;
+  for (std::size_t i : order) candidates.push_back(&corpus.samples()[i]);
+  const std::vector<double> scores = score(candidates);
+  if (scores.size() != candidates.size()) {
+    throw std::logic_error("select_by_size_confident: " +
+                           std::to_string(scores.size()) + " scores for " +
+                           std::to_string(candidates.size()) + " candidates");
+  }
+  std::size_t best = 0;
+  for (std::size_t k = 1; k < scores.size(); ++k) {
+    if (scores[k] > scores[best]) best = k;
+  }
+  return order[best];
 }
 
 std::vector<DensityGroup> density_groups(const dataset::Corpus& corpus,

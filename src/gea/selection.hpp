@@ -36,6 +36,17 @@ std::size_t select_by_size_confident(
     const std::function<double(const dataset::Sample&)>& score,
     std::size_t window = 9);
 
+/// select_by_size_confident with the whole window scored in one call, each
+/// candidate once: `score` receives the size-rank anchor first, then the
+/// rest of the window in ascending size order, and returns one score per
+/// candidate. The anchor wins unless a later candidate scores strictly
+/// higher; among equal best scores the earliest in that order wins.
+std::size_t select_by_size_confident_batch(
+    const dataset::Corpus& corpus, std::uint8_t label, SizeRank rank,
+    const std::function<std::vector<double>(
+        const std::vector<const dataset::Sample*>&)>& score,
+    std::size_t window = 9);
+
 /// A node-count group usable for the density sweep: >= `min_variants`
 /// samples of `label` share `num_nodes` with at least two distinct edge
 /// counts.

@@ -249,9 +249,24 @@ std::size_t argmax(const std::vector<double>& z) {
   return best;
 }
 
+std::vector<std::vector<double>> DifferentiableClassifier::logits_batch(
+    const std::vector<std::vector<double>>& xs) {
+  std::vector<std::vector<double>> z;
+  z.reserve(xs.size());
+  for (const auto& x : xs) z.push_back(logits(x));
+  return z;
+}
+
 std::vector<double> DifferentiableClassifier::probabilities(
     const std::vector<double>& x) {
   return softmax(logits(x));
+}
+
+std::vector<std::vector<double>> DifferentiableClassifier::probabilities_batch(
+    const std::vector<std::vector<double>>& xs) {
+  auto p = logits_batch(xs);
+  for (auto& row : p) row = softmax(row);
+  return p;
 }
 
 std::size_t DifferentiableClassifier::predict(const std::vector<double>& x) {

@@ -97,6 +97,12 @@ class DifferentiableClassifier {
   /// Logits for one input vector.
   virtual std::vector<double> logits(const std::vector<double>& x) = 0;
 
+  /// Logits for many inputs; row i must be bitwise equal to logits(xs[i]).
+  /// The default calls logits() once per row; a class that can run the
+  /// rows through one batched forward overrides it.
+  virtual std::vector<std::vector<double>> logits_batch(
+      const std::vector<std::vector<double>>& xs);
+
   /// Gradient of logit `k` with respect to the input.
   virtual std::vector<double> grad_logit(const std::vector<double>& x,
                                          std::size_t k) = 0;
@@ -117,6 +123,9 @@ class DifferentiableClassifier {
 
   // Derived conveniences.
   std::vector<double> probabilities(const std::vector<double>& x);
+  /// probabilities() of every row, through one logits_batch() call.
+  std::vector<std::vector<double>> probabilities_batch(
+      const std::vector<std::vector<double>>& xs);
   std::size_t predict(const std::vector<double>& x);
   /// Gradient of cross-entropy(label) w.r.t. the input.
   std::vector<double> grad_loss(const std::vector<double>& x,
@@ -147,10 +156,9 @@ class ModelClassifier : public DifferentiableClassifier {
   std::size_t input_dim() const override { return dim_; }
   std::size_t num_classes() const override { return classes_; }
   std::vector<double> logits(const std::vector<double>& x) override;
-  /// Logits for many inputs in one batched Model::infer pass. Row i of the
-  /// result is bitwise-identical to logits(xs[i]).
+  /// One batched Model::infer pass over all rows.
   std::vector<std::vector<double>> logits_batch(
-      const std::vector<std::vector<double>>& xs);
+      const std::vector<std::vector<double>>& xs) override;
   std::vector<double> grad_logit(const std::vector<double>& x,
                                  std::size_t k) override;
   std::vector<double> grad_weighted(

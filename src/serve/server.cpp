@@ -104,12 +104,10 @@ std::future<util::Result<Verdict>> DetectionServer::submit(
   // and makes CFG-extraction cost visible to the client that pays for it.
   // The thread-local engine reuses traversal scratch across submissions;
   // the server-wide cache short-circuits resubmitted graphs.
-  cfg::CfgOptions opts;
-  opts.main_only = true;  // the paper's per-binary convention
-  opts.label_blocks = false;
   std::vector<double> row;
   try {
-    const cfg::Cfg graph = cfg::extract_cfg(program, opts);
+    // main_only: the paper's per-binary convention.
+    const cfg::Cfg graph = cfg::extract_cfg(program, {.main_only = true});
     auto& engine = features::FeatureEngine::local();
     if (ckpt->spec().input_dim == features::kNumExtendedFeatures) {
       row = features::extract_extended_features(graph.graph, engine,

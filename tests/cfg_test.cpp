@@ -203,8 +203,13 @@ TEST(Cfg, BlockLabelsCarryDisassembly) {
       movi r1, 7
       halt
     endfunc
-  )");
+  )", {.label_blocks = true});
   EXPECT_NE(c.graph.label(0).find("movi r1, 7"), std::string::npos);
+}
+
+TEST(Cfg, LabelsAreOffByDefault) {
+  const auto c = from_asm("func main\n movi r1, 7\n halt\nendfunc");
+  EXPECT_TRUE(c.graph.label(0).empty());
 }
 
 TEST(Cfg, LabelsCanBeDisabled) {
@@ -216,6 +221,7 @@ TEST(Cfg, LabelsCanBeDisabled) {
 
 TEST(Cfg, LongBlockLabelTruncates) {
   cfg::CfgOptions opts;
+  opts.label_blocks = true;
   opts.label_max_instructions = 2;
   const auto c = from_asm(R"(
     func main

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <tuple>
+#include <vector>
 
 #include "bingen/families.hpp"
 #include "cfg/cfg.hpp"
@@ -285,6 +287,54 @@ TEST_F(SelectionTest, PickDensityTargetsShape) {
       gealib::pick_density_targets(corpus(), dataset::kMalicious, 3, 3);
   EXPECT_LE(picked.size(), 3u);
   for (const auto& g : picked) EXPECT_LE(g.sample_indices.size(), 3u);
+}
+
+TEST_F(SelectionTest, ConfidentPickScoresEachCandidateOnceAnchorFirst) {
+  for (auto rank : {gealib::SizeRank::kMinimum, gealib::SizeRank::kMedian,
+                    gealib::SizeRank::kMaximum}) {
+    const std::size_t anchor =
+        gealib::select_by_size(corpus(), dataset::kBenign, rank);
+    std::vector<const dataset::Sample*> seen;
+    // Equal scores everywhere: the anchor wins.
+    const auto flat = gealib::select_by_size_confident_batch(
+        corpus(), dataset::kBenign, rank,
+        [&](const std::vector<const dataset::Sample*>& c) {
+          seen = c;
+          return std::vector<double>(c.size(), 0.5);
+        });
+    EXPECT_EQ(flat, anchor);
+    ASSERT_GE(seen.size(), 5u);
+    EXPECT_LE(seen.size(), 9u);
+    EXPECT_EQ(seen.front(), &corpus().samples()[anchor]);
+    EXPECT_EQ(std::set<const dataset::Sample*>(seen.begin(), seen.end()).size(),
+              seen.size());
+    for (std::size_t k = 2; k < seen.size(); ++k) {
+      EXPECT_LE(seen[k - 1]->num_nodes(), seen[k]->num_nodes());
+    }
+
+    // Two candidates share the best score: the earlier one wins, and the
+    // per-sample variant scores each candidate once and agrees.
+    auto tied = [&](const dataset::Sample& s) {
+      return &s == seen[1] || &s == seen.back() ? 0.9 : 0.1;
+    };
+    const auto pick = gealib::select_by_size_confident_batch(
+        corpus(), dataset::kBenign, rank,
+        [&](const std::vector<const dataset::Sample*>& c) {
+          std::vector<double> scores;
+          for (const auto* s : c) scores.push_back(tied(*s));
+          return scores;
+        });
+    EXPECT_EQ(&corpus().samples()[pick], seen[1]);
+    std::size_t calls = 0;
+    EXPECT_EQ(gealib::select_by_size_confident(
+                  corpus(), dataset::kBenign, rank,
+                  [&](const dataset::Sample& s) {
+                    ++calls;
+                    return tied(s);
+                  }),
+              pick);
+    EXPECT_EQ(calls, seen.size());
+  }
 }
 
 TEST_F(SelectionTest, EmptyLabelThrows) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <string>
 
 #include "ml/activations.hpp"
 #include "ml/conv1d.hpp"
@@ -724,6 +725,70 @@ TEST(ModelClassifier, GradLossRunsOneForwardAndOneInputBackward) {
   EXPECT_EQ(counts.forward, 2);
   EXPECT_EQ(counts.backward_input, 1);
   EXPECT_EQ(counts.backward, 0);
+}
+
+/// Owning ModelClassifier over a freshly initialised paper CNN.
+std::unique_ptr<DifferentiableClassifier> owned_cnn(std::size_t classes,
+                                                   std::uint64_t seed) {
+  Rng drng(1);
+  Model m = make_paper_cnn(23, classes, drng);
+  Rng wrng(seed);
+  m.init(wrng);
+  return ModelClassifier(m, 23, classes).clone();
+}
+
+TEST(DifferentiableClassifier, LogitsBatchRowsMatchPerRowLogitsBitwise) {
+  for (std::size_t classes : {2u, 4u}) {
+    Rng drng(1);
+    Model m = make_paper_cnn(23, classes, drng);
+    Rng wrng(16);
+    m.init(wrng);
+    ModelClassifier clf(m, 23, classes);
+    ComposedClassifier composed(clf);  // the default, one logits() per row
+    std::vector<std::string> names = {"benign"};
+    for (std::size_t c = 1; c < classes; ++c) {
+      names.push_back("family-" + std::to_string(c));
+    }
+    auto schema = LabelSchema::make(names, 0);
+    ASSERT_TRUE(schema.is_ok());
+    HierarchicalClassifier hier(owned_cnn(2, 17), owned_cnn(classes - 1, 18),
+                                schema.value());
+
+    Rng rng(19);
+    for (DifferentiableClassifier* c :
+         std::vector<DifferentiableClassifier*>{&composed, &hier, &clf}) {
+      EXPECT_TRUE(c->logits_batch({}).empty());
+      for (std::size_t n : {1u, 3u, 24u}) {
+        std::vector<std::vector<double>> xs(n, std::vector<double>(23));
+        for (auto& x : xs) {
+          for (auto& v : x) v = rng.uniform(0.0, 1.0);
+        }
+        const auto z = c->logits_batch(xs);
+        ASSERT_EQ(z.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_TRUE(same_bits(z[i], c->logits(xs[i])))
+              << "K=" << classes << " batch " << n << " row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ModelClassifier, LogitsBatchRunsOneForwardForAllRows) {
+  PassCounts counts;
+  Model m;
+  m.add(std::make_unique<CountingIdentity>(counts));
+  m.add(std::make_unique<Flatten>());
+  m.add(std::make_unique<Dense>(4, 2));
+  Rng wrng(20);
+  m.init(wrng);
+  ModelClassifier clf(m, 4, 2);
+  DifferentiableClassifier& base = clf;
+  const auto z = base.logits_batch({{0.1, 0.7, 0.3, 0.9},
+                                    {0.2, 0.4, 0.6, 0.8},
+                                    {0.9, 0.1, 0.5, 0.3}});
+  EXPECT_EQ(z.size(), 3u);
+  EXPECT_EQ(counts.forward, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,11 +26,15 @@
 #include "dataset/corpus.hpp"
 #include "features/features.hpp"
 #include "features/scaler.hpp"
+#include "gea/embed.hpp"
 #include "gea/harness.hpp"
 #include "graph/digraph.hpp"
+#include "isa/assembler.hpp"
+#include "ml/label_schema.hpp"
 #include "ml/model.hpp"
 #include "ml/trainer.hpp"
 #include "ml/zoo.hpp"
+#include "obs/metrics.hpp"
 #include "util/faultinject.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -355,6 +361,20 @@ TEST(ParallelAttackHarness, WorkerFailureQuarantinesOnlyThatSample) {
   EXPECT_EQ(row.samples, rows.size() - 1);
   EXPECT_EQ(capture.count_containing("marked sample rejected"), 1u);
 
+  // The attack returns every other row unchanged, so the batched merge must
+  // count exactly the rows a per-row predict() gets wrong. Every third
+  // label is flipped so that the count depends on matching each verdict
+  // with its own row past the quarantined one.
+  auto labels = det.data.labels;
+  for (std::size_t s = 0; s < labels.size(); s += 3) labels[s] ^= 1;
+  std::size_t misclassified = 0;
+  for (std::size_t s = 0; s < rows.size(); ++s) {
+    if (s != 5 && det.clf->predict(rows[s]) != labels[s]) ++misclassified;
+  }
+  EXPECT_EQ(attacks::run_attack(attack, *det.clf, rows, labels, nullptr, o)
+                .misclassified,
+            misclassified);
+
   // Strict mode rethrows the worker's original exception.
   o.strict = true;
   EXPECT_THROW(
@@ -388,6 +408,267 @@ TEST(ParallelGeaHarness, RowIsBitwiseIdenticalAtAnyThreadCount) {
     EXPECT_EQ(serial.equivalence_rate, parallel.equivalence_rate);
     EXPECT_EQ(serial.target_nodes, parallel.target_nodes);
     EXPECT_EQ(serial.target_edges, parallel.target_edges);
+  }
+}
+
+/// Test-local reference for the GEA harness: the per-sample path, with one
+/// probabilities() or predict() call per sample and serial verification,
+/// so the batched merge and the parallel verification pass are pinned to
+/// it bit for bit.
+namespace per_sample {
+
+/// select_by_size_confident with one probabilities() call per candidate,
+/// the anchor scored twice.
+std::size_t select(const dataset::Corpus& corpus, std::uint8_t label,
+                   aug::SizeRank rank, Detector& det, std::uint8_t cls) {
+  auto score = [&](const dataset::Sample& s) {
+    const auto t = det.scaler.transform(s.features);
+    return det.clf->probabilities({t.begin(), t.end()})[cls];
+  };
+  auto idx = corpus.indices_of(label);
+  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    return corpus.samples()[a].num_nodes() < corpus.samples()[b].num_nodes();
+  });
+  const std::size_t window = 9;
+  std::size_t anchor = 0;
+  if (rank == aug::SizeRank::kMedian) anchor = idx.size() / 2;
+  if (rank == aug::SizeRank::kMaximum) anchor = idx.size() - 1;
+  const std::size_t lo = anchor >= window / 2 ? anchor - window / 2 : 0;
+  const std::size_t hi = std::min(idx.size(), lo + window);
+  std::size_t best = idx[anchor];
+  double best_score = score(corpus.samples()[best]);
+  for (std::size_t k = lo; k < hi; ++k) {
+    const double sc = score(corpus.samples()[idx[k]]);
+    if (sc > best_score) {
+      best_score = sc;
+      best = idx[k];
+    }
+  }
+  return best;
+}
+
+std::vector<double> scaled(const Detector& det,
+                           const features::FeatureVector& fv) {
+  const auto t = det.scaler.transform(fv);
+  return {t.begin(), t.end()};
+}
+
+/// The serial loop over the sources of one target: eligibility, craft and
+/// predict(), one sample at a time. `on_crafted(sample, prediction,
+/// crafted program, crafted so far)` sees every crafted sample in corpus
+/// order. Returns the quarantined count.
+template <typename IsSource, typename OnCrafted>
+std::size_t sweep(const dataset::Corpus& corpus, Detector& det,
+                  std::size_t target_index, const aug::GeaHarnessOptions& opts,
+                  IsSource is_source, OnCrafted on_crafted) {
+  const auto& samples = corpus.samples();
+  std::size_t crafted_count = 0, quarantined = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (opts.max_samples != 0 && crafted_count >= opts.max_samples) break;
+    const dataset::Sample& s = samples[i];
+    if (i == target_index || !is_source(s)) continue;
+    if (opts.skip_already_misclassified &&
+        det.clf->predict(scaled(det, s.features)) != s.label) {
+      continue;
+    }
+    aug::EmbedResult crafted;
+    features::FeatureVector fv{};
+    try {
+      crafted = aug::embed_with_cfg(s.program, samples[target_index].program,
+                                    opts.embed);
+      fv = features::extract_features(crafted.cfg.graph);
+      if (!features::all_finite(fv)) throw std::runtime_error("non-finite");
+    } catch (const std::exception&) {
+      ++quarantined;
+      continue;
+    }
+    ++crafted_count;
+    on_crafted(s, det.clf->predict(scaled(det, fv)), crafted.program,
+               crafted_count);
+  }
+  return quarantined;
+}
+
+struct Row {
+  aug::GeaRow row;
+  std::size_t verified = 0;
+};
+
+Row attack(const dataset::Corpus& corpus, Detector& det,
+           std::uint8_t source_label, std::size_t target_index,
+           const aug::GeaHarnessOptions& opts) {
+  Row out;
+  const auto& target = corpus.samples()[target_index];
+  out.row.target_nodes = target.num_nodes();
+  out.row.target_edges = target.num_edges();
+  std::size_t equivalent = 0;
+  out.row.quarantined = sweep(
+      corpus, det, target_index, opts,
+      [&](const dataset::Sample& s) { return s.label == source_label; },
+      [&](const dataset::Sample& s, std::size_t pred,
+          const isa::Program& program, std::size_t crafted_count) {
+        ++out.row.samples;
+        if (pred != s.label) ++out.row.misclassified;
+        if (opts.verify_every != 0 &&
+            (crafted_count - 1) % opts.verify_every == 0) {
+          ++out.verified;
+          if (aug::functionally_equivalent(s.program, program)) ++equivalent;
+        }
+      });
+  out.row.equivalence_rate =
+      out.verified == 0 ? 0.0
+                        : static_cast<double>(equivalent) /
+                              static_cast<double>(out.verified);
+  return out;
+}
+
+std::vector<Row> size_sweep(const dataset::Corpus& corpus, Detector& det,
+                            std::uint8_t source_label,
+                            const aug::GeaHarnessOptions& opts) {
+  const std::uint8_t target_label = 1 - source_label;
+  std::vector<Row> rows;
+  for (auto rank : {aug::SizeRank::kMinimum, aug::SizeRank::kMedian,
+                    aug::SizeRank::kMaximum}) {
+    rows.push_back(attack(corpus, det, source_label,
+                          select(corpus, target_label, rank, det, target_label),
+                          opts));
+  }
+  return rows;
+}
+
+aug::FamilyEvasionReport family_matrix(const dataset::Corpus& corpus,
+                                       Detector& det, std::size_t classes,
+                                       const aug::GeaHarnessOptions& opts) {
+  aug::FamilyEvasionReport out;
+  out.matrix = ml::MultiConfusion(classes);
+  for (std::size_t c = 0; c < classes; ++c) {
+    const auto cls = static_cast<std::uint8_t>(c);
+    if (corpus.count_label(cls) == 0) continue;
+    const std::size_t donor =
+        select(corpus, cls, aug::SizeRank::kMedian, det, cls);
+    out.quarantined += sweep(
+        corpus, det, donor, opts,
+        [&](const dataset::Sample& s) { return s.label != cls; },
+        [&](const dataset::Sample& s, std::size_t pred, const isa::Program&,
+            std::size_t) {
+          ++out.samples;
+          out.matrix.at(s.label, pred) += 1;
+          if (pred == cls) ++out.targeted_hits;
+          if (pred != s.label) ++out.evaded;
+        });
+  }
+  return out;
+}
+
+}  // namespace per_sample
+
+std::uint64_t verified_total() {
+  return obs::MetricsRegistry::global().counter("gea.verified_total").value();
+}
+
+TEST(ParallelGeaHarness, SweepsMatchPerSamplePredictAndSerialVerify) {
+  auto corpus = dataset::Corpus::generate(corpus_config(1));
+  auto det = make_detector(corpus);
+
+  // Every graft target either sweep can pick, and the family donors among
+  // them, stay intact; two malicious sources are altered instead.
+  std::set<std::size_t> targets;
+  for (std::uint8_t label : {dataset::kBenign, dataset::kMalicious}) {
+    for (auto rank : {aug::SizeRank::kMinimum, aug::SizeRank::kMedian,
+                      aug::SizeRank::kMaximum}) {
+      targets.insert(per_sample::select(corpus, label, rank, det, label));
+    }
+  }
+  // The malicious-to-benign sweeps attack these, in this order.
+  std::vector<std::size_t> sources;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const auto& s = corpus.samples()[i];
+    if (s.label == dataset::kMalicious &&
+        det.clf->predict(per_sample::scaled(det, s.features)) == s.label) {
+      sources.push_back(i);
+    }
+  }
+  // Alter sources p and p + 2, neither a target. Then source p + 2 is the
+  // (p + 1)-th crafted sample, which verify_every 3 picks when p = 2 mod 3.
+  std::size_t p = 2;
+  while (p + 2 < sources.size() && (targets.count(sources[p]) != 0 ||
+                                     targets.count(sources[p + 2]) != 0)) {
+    p += 3;
+  }
+  ASSERT_LT(p + 2, 12u);
+  ASSERT_LT(p + 2, sources.size());
+  // A program embed_program rejects: its craft fails identically at any
+  // thread count, and the verify stride must skip it.
+  corpus.samples()[sources[p]].program.functions().clear();
+  // A loop that halts two steps inside the interpreter's step budget; the
+  // graft's guard and exit blocks push its crafted copy past the budget,
+  // so this one sample verifies as not equivalent and the stride's picks
+  // show in equivalence_rate.
+  corpus.samples()[sources[p + 2]].program = isa::assemble(R"(
+    func main
+      movi r1, 333332
+    loop:
+      subi r1, 1
+      cmpi r1, 0
+      jg loop
+      halt
+    endfunc
+  )");
+
+  util::LogCapture capture;
+  const auto schema = ml::LabelSchema::binary();
+  // One wave over every source, and a capped sweep that needs a second
+  // wave to replace the failed craft.
+  using Config = std::pair<std::size_t, std::size_t>;  // verify_every, cap
+  for (const auto& [verify_every, cap] : {Config{1, 0}, Config{3, 13}}) {
+    aug::GeaHarnessOptions o;
+    o.verify_every = verify_every;
+    o.max_samples = cap;
+    const auto expect_m2b =
+        per_sample::size_sweep(corpus, det, dataset::kMalicious, o);
+    const auto expect_b2m =
+        per_sample::size_sweep(corpus, det, dataset::kBenign, o);
+    const auto expect_family = per_sample::family_matrix(corpus, det, 2, o);
+    for (const auto& e : expect_m2b) {
+      EXPECT_EQ(e.row.quarantined, 1u);
+      EXPECT_LT(e.row.equivalence_rate, 1.0);
+    }
+    EXPECT_EQ(expect_family.quarantined, 1u);
+
+    for (std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("verify_every " + std::to_string(verify_every) +
+                   ", threads " + std::to_string(threads));
+      o.threads = threads;
+      const aug::GeaHarness harness(corpus, det.scaler, *det.clf);
+      for (const auto& [source, expect] :
+           {std::pair{dataset::kMalicious, &expect_m2b},
+            std::pair{dataset::kBenign, &expect_b2m}}) {
+        const std::uint64_t verified_before = verified_total();
+        const auto rows = harness.size_sweep(source, o);
+        ASSERT_EQ(rows.size(), expect->size());
+        std::uint64_t verified = 0;
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+          const auto& want = (*expect)[r].row;
+          EXPECT_EQ(rows[r].target_nodes, want.target_nodes) << "row " << r;
+          EXPECT_EQ(rows[r].target_edges, want.target_edges) << "row " << r;
+          EXPECT_EQ(rows[r].samples, want.samples) << "row " << r;
+          EXPECT_EQ(rows[r].misclassified, want.misclassified) << "row " << r;
+          EXPECT_EQ(rows[r].quarantined, want.quarantined) << "row " << r;
+          EXPECT_EQ(rows[r].equivalence_rate, want.equivalence_rate)
+              << "row " << r;
+          verified += (*expect)[r].verified;
+        }
+#if !defined(GEA_OBS_NOOP)
+        EXPECT_EQ(verified_total() - verified_before, verified);
+#endif
+      }
+      const auto family = harness.family_evasion_matrix(schema, o);
+      EXPECT_EQ(family.matrix.counts, expect_family.matrix.counts);
+      EXPECT_EQ(family.samples, expect_family.samples);
+      EXPECT_EQ(family.targeted_hits, expect_family.targeted_hits);
+      EXPECT_EQ(family.evaded, expect_family.evaded);
+      EXPECT_EQ(family.quarantined, expect_family.quarantined);
+    }
   }
 }
 
