@@ -1,7 +1,6 @@
 #include "cfg/cfg.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -94,39 +93,54 @@ Cfg extract_cfg(const isa::Program& program, const CfgOptions& opts) {
   }
 
   const auto& code = program.code();
-  const std::size_t n = code.size();
+  const auto& functions = program.functions();
+  const std::size_t num_functions = opts.main_only ? 1 : functions.size();
 
-  // Pass 1: identify leaders per function.
-  std::vector<bool> leader(n, false);
-  for (const auto& f : program.functions()) {
-    leader[f.begin] = true;
+  // Pass 1: identify leaders per function. Jumps stay within their
+  // function (validate checks it), so the extracted functions' leaders are
+  // all the blocks there are. block_at doubles as the leader table: a
+  // leader's entry becomes its node id in pass 2, every other pc stays
+  // kNoBlock.
+  constexpr graph::NodeId kNoBlock = ~graph::NodeId{0};
+  constexpr graph::NodeId kLeader = 0;
+  std::vector<graph::NodeId> block_at(code.size(), kNoBlock);
+  std::size_t num_blocks = 0;
+  auto mark = [&](std::uint32_t pc) {
+    if (block_at[pc] == kNoBlock) {
+      block_at[pc] = kLeader;
+      ++num_blocks;
+    }
+  };
+  for (std::size_t fi = 0; fi < num_functions; ++fi) {
+    const auto& f = functions[fi];
+    mark(f.begin);
     for (std::uint32_t i = f.begin; i < f.end; ++i) {
       const Instruction& ins = code[i];
       if (isa::is_jump(ins.op)) {
-        leader[ins.target] = true;
-        if (i + 1 < f.end) leader[i + 1] = true;  // fall-through successor
+        mark(ins.target);
+        if (i + 1 < f.end) mark(i + 1);  // fall-through successor
       } else if (ins.op == Opcode::kRet || ins.op == Opcode::kHalt) {
-        if (i + 1 < f.end) leader[i + 1] = true;
+        if (i + 1 < f.end) mark(i + 1);
       }
     }
   }
 
   // Pass 2: materialize blocks (contiguous ranges between leaders, clipped
-  // at function boundaries).
+  // at function boundaries), one graph node each, sized up front.
   Cfg cfg;
-  std::map<std::uint32_t, graph::NodeId> block_at;  // begin pc -> node
-  const std::size_t num_functions =
-      opts.main_only ? 1 : program.functions().size();
+  cfg.graph = graph::DiGraph(num_blocks);
+  cfg.blocks.reserve(num_blocks);
   for (std::size_t fi = 0; fi < num_functions; ++fi) {
-    const auto& f = program.functions()[fi];
+    const auto& f = functions[fi];
     std::uint32_t start = f.begin;
     for (std::uint32_t i = f.begin + 1; i <= f.end; ++i) {
-      if (i == f.end || leader[i]) {
-        BasicBlock b{start, i, static_cast<std::uint32_t>(fi)};
-        const auto node = cfg.graph.add_node(
-            opts.label_blocks ? block_label(program, b, opts.label_max_instructions)
-                              : std::string{});
-        cfg.blocks.push_back(b);
+      if (i == f.end || block_at[i] != kNoBlock) {
+        const auto node = static_cast<graph::NodeId>(cfg.blocks.size());
+        cfg.blocks.push_back({start, i, static_cast<std::uint32_t>(fi)});
+        if (opts.label_blocks) {
+          cfg.graph.set_label(node, block_label(program, cfg.blocks.back(),
+                                                opts.label_max_instructions));
+        }
         block_at[start] = node;
         start = i;
       }
@@ -138,14 +152,13 @@ Cfg extract_cfg(const isa::Program& program, const CfgOptions& opts) {
     const BasicBlock& b = cfg.blocks[bi];
     const auto node = static_cast<graph::NodeId>(bi);
     const Instruction& last = code[b.end - 1];
-    const auto& f = program.functions()[b.function];
+    const auto& f = functions[b.function];
 
     auto link_to_pc = [&](std::uint32_t pc) {
-      const auto it = block_at.find(pc);
-      if (it == block_at.end()) {
+      if (block_at[pc] == kNoBlock) {
         throw std::logic_error("extract_cfg: edge to non-leader pc");
       }
-      cfg.graph.add_edge(node, it->second);
+      cfg.graph.add_edge(node, block_at[pc]);
     };
 
     if (isa::is_jump(last.op)) {
@@ -165,8 +178,11 @@ Cfg extract_cfg(const isa::Program& program, const CfgOptions& opts) {
   }
 
   // Entry and exits.
-  cfg.entry = block_at.at(0);
-  const auto& main_fn = program.functions().front();
+  if (block_at[0] == kNoBlock) {
+    throw std::out_of_range("extract_cfg: no block at the entry pc");
+  }
+  cfg.entry = block_at[0];
+  const auto& main_fn = functions.front();
   for (std::size_t bi = 0; bi < cfg.blocks.size(); ++bi) {
     const BasicBlock& b = cfg.blocks[bi];
     const Instruction& last = code[b.end - 1];

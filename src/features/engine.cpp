@@ -174,7 +174,8 @@ util::Summary5 FeatureEngine::path_length_summary() const {
   //  - the mean's numerator is a sum of integers far below 2^53, so every
   //    partial sum is exact and summation order cannot change the bits.
   // Only the stddev deviation accumulation is genuinely order-sensitive,
-  // so it alone walks the population in element order. Net effect: the
+  // so it alone walks the population in element order, converting each
+  // stored integer to the double the seed population held. Net effect: the
   // O(V^2)-element copy + selection of the generic summary5 path is gone.
   util::Summary5 s;
   const std::size_t cnt = lengths_.size();
@@ -218,7 +219,10 @@ util::Summary5 FeatureEngine::path_length_summary() const {
   if (cnt >= 2) {
     const double m = s.mean;
     double acc = 0.0;
-    for (double x : lengths_) acc += (x - m) * (x - m);
+    for (std::uint32_t d : lengths_) {
+      const double x = static_cast<double>(d);
+      acc += (x - m) * (x - m);
+    }
     s.stddev = std::sqrt(acc / static_cast<double>(cnt));
   }
   return s;
@@ -227,8 +231,9 @@ util::Summary5 FeatureEngine::path_length_summary() const {
 std::size_t FeatureEngine::scratch_bytes() const {
   return scratch_.footprint_bytes() +
          (betweenness_.capacity() + closeness_.capacity() +
-          degree_.capacity() + lengths_.capacity() + summary_tmp_.capacity()) *
+          degree_.capacity() + summary_tmp_.capacity()) *
              sizeof(double) +
+         lengths_.capacity() * sizeof(std::uint32_t) +
          hist_.capacity() * sizeof(std::uint64_t);
 }
 

@@ -146,7 +146,7 @@ class FeatureEngine {
   std::vector<double> betweenness_;
   std::vector<double> closeness_;
   std::vector<double> degree_;
-  std::vector<double> lengths_;
+  std::vector<std::uint32_t> lengths_;
   std::vector<std::uint64_t> hist_;
   std::vector<double> summary_tmp_;
   std::shared_ptr<FeatureCache> cache_;

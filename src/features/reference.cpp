@@ -21,7 +21,12 @@ std::vector<double> betweenness_centrality(const DiGraph& g) {
   std::vector<double> bc(n, 0.0);
   if (n < 3) return bc;
 
-  // Brandes (2001), unweighted directed version.
+  // Brandes (2001), unweighted directed version. The counts are int64, as
+  // in the seed: a graph with 2^63 or more shortest paths between two nodes
+  // (63+ chained if/else diamonds) overflows them, which is undefined
+  // behaviour. graph::single_sweep recounts such sources in double; the
+  // tests compare it there with graph::betweenness_centrality_reference and
+  // never call this oracle on such a graph.
   std::vector<std::int64_t> sigma(n);      // shortest-path counts
   std::vector<std::int64_t> dist(n);       // BFS distance, -1 = unvisited
   std::vector<double> delta(n);            // dependency accumulator

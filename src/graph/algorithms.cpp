@@ -41,10 +41,10 @@ std::vector<std::uint32_t> bfs_distances_reverse(const DiGraph& g, NodeId sink) 
 }
 
 std::vector<double> all_shortest_path_lengths(const DiGraph& g) {
-  std::vector<double> lengths;
+  std::vector<std::uint32_t> lengths;
   SweepScratch scratch;
   single_sweep(g, scratch, {.path_lengths = &lengths});
-  return lengths;
+  return {lengths.begin(), lengths.end()};
 }
 
 double average_shortest_path_length(const DiGraph& g) {

@@ -8,14 +8,23 @@
 // the path population); `single_sweep` runs it once and feeds every
 // requested sink from the shared distance array:
 //
-//  - betweenness: the Brandes dependency accumulation, verbatim;
-//  - path lengths: d(s,t) emitted in (s, t) lexicographic order, exactly
-//    the order the seed's all_shortest_path_lengths produced;
-//  - closeness: sum/count of incoming distances per target. The seed ran a
-//    reverse BFS per sink v and summed d(u,v) over u ascending; here each
-//    forward pass from s contributes d(s,v) to every v, and s ascends, so
-//    the floating-point accumulation order — and therefore the result —
-//    is bit-for-bit the same.
+//  - betweenness: the Brandes dependency accumulation, walking the BFS
+//    queue in reverse (the order Brandes' stack pops);
+//  - path lengths: d(s,t) as 32-bit integers in (s, t) lexicographic
+//    order, exactly the order the seed's all_shortest_path_lengths
+//    produced, emitted from a visited bitmap;
+//  - closeness: integer sum/count of incoming distances per target. The
+//    seed summed the same distances in double; every partial sum of
+//    integers below 2^53 is exact, so the result is bit-for-bit the same.
+//
+// Each sweep first copies the DiGraph's adjacency lists into CSR arrays
+// (offsets plus targets, 32-bit), so the per-source traversals read flat
+// memory instead of one heap vector per node behind a bounds check.
+//
+// Shortest-path counts are int64, as in the seed. A source whose counts
+// overflow int64 (about 63 chained if/else diamonds) is recounted in double
+// and its dependencies accumulated from those counts; every graph whose
+// counts fit keeps its bits.
 //
 // All working storage lives in a caller-owned SweepScratch, so repeated
 // sweeps (corpus featurization, GEA sweeps, serving) perform no per-graph
@@ -38,17 +47,26 @@ namespace gea::graph {
 /// Reusable working storage for single_sweep. Buffers only ever grow;
 /// clearing keeps capacity, so steady-state sweeps allocate nothing.
 struct SweepScratch {
-  // Brandes bookkeeping (int64 sigma/dist match the seed implementation).
-  // Predecessor sets are not stored: the dependency pass recovers them from
-  // `dist` over in-edges, which is cheaper and provably order-neutral.
+  // CSR copy of the adjacency, rebuilt by every sweep: node u's out-targets
+  // are out_adj[out_off[u] .. out_off[u+1]), in-sources likewise.
+  std::vector<std::uint32_t> out_off;
+  std::vector<NodeId> out_adj;
+  std::vector<std::uint32_t> in_off;
+  std::vector<NodeId> in_adj;
+  // Brandes bookkeeping. Predecessor sets are not stored: the dependency
+  // pass recovers them from `dist` over in-edges, which is cheaper and
+  // provably order-neutral.
   std::vector<std::int64_t> sigma;  // shortest-path counts
-  std::vector<std::int64_t> dist;   // BFS distance, -1 = unvisited
+  std::vector<double> sigma_wide;   // double counts, after an int64 overflow
+  std::vector<std::int32_t> dist;   // BFS distance, -1 = unvisited
   std::vector<double> delta;        // dependency accumulator
-  std::vector<NodeId> queue;  // BFS FIFO via head cursor
-  std::vector<NodeId> order;  // Brandes LIFO via pop from the back
+  std::vector<NodeId> queue;        // BFS order; reversed, Brandes' stack
   // Closeness accumulators (incoming-distance sum / count per target).
-  std::vector<double> close_total;
+  std::vector<std::uint64_t> close_total;
   std::vector<std::uint32_t> close_reached;
+  // One bit per node reached from the current source; the path population
+  // is emitted by walking it, which yields targets in ascending order.
+  std::vector<std::uint64_t> reached_bits;
 
   /// Bytes currently reserved across all buffers (capacities). Stable
   /// across repeated sweeps of graphs no larger than the largest seen —
@@ -60,9 +78,11 @@ struct SweepScratch {
 /// sinks cost nothing beyond the shared BFS. Vectors are reset by the sweep
 /// (sized to n / cleared), not appended to.
 struct SweepSinks {
-  std::vector<double>* betweenness = nullptr;   // per node; zeros for n < 3
-  std::vector<double>* closeness = nullptr;     // per node; zeros for n < 2
-  std::vector<double>* path_lengths = nullptr;  // per reachable ordered pair
+  std::vector<double>* betweenness = nullptr;  // per node; zeros for n < 3
+  std::vector<double>* closeness = nullptr;    // per node; zeros for n < 2
+  /// d(s,t) per reachable ordered pair s != t, sources ascending, then
+  /// targets ascending.
+  std::vector<std::uint32_t>* path_lengths = nullptr;
   /// Count per distance value of the path_lengths population (sized to n;
   /// a BFS distance is at most n-1). Integer order statistics of the
   /// population read straight off this, letting the feature engine skip

@@ -31,27 +31,31 @@ std::optional<std::string> Program::validate() const {
   }
   if (expected != code_.size()) return "functions do not cover the whole program";
 
-  for (std::size_t i = 0; i < code_.size(); ++i) {
-    const auto& ins = code_[i];
-    if (has_target(ins.op)) {
-      if (ins.target >= code_.size()) {
-        return "instruction " + std::to_string(i) + " target out of range";
-      }
-      if (ins.op == Opcode::kCall) {
-        bool ok = false;
-        for (const auto& f : functions_) ok = ok || f.begin == ins.target;
-        if (!ok) return "call at " + std::to_string(i) + " does not target a function start";
-      } else {
-        // Jumps must stay within their own function.
-        const Function* f = function_at(static_cast<std::uint32_t>(i));
-        if (f == nullptr) return "instruction outside any function";
-        if (!f->contains(ins.target)) {
-          return "jump at " + std::to_string(i) + " leaves function '" + f->name + "'";
+  // The functions tile the code in order, so walking them visits every
+  // instruction once, in index order (the first error found is the one a
+  // flat scan would find), and the function being walked is the one each
+  // jump must stay in: no instruction lies outside a function.
+  std::vector<bool> is_start(code_.size(), false);
+  for (const auto& f : functions_) is_start[f.begin] = true;
+  for (const auto& f : functions_) {
+    for (std::uint32_t i = f.begin; i < f.end; ++i) {
+      const auto& ins = code_[i];
+      if (has_target(ins.op)) {
+        if (ins.target >= code_.size()) {
+          return "instruction " + std::to_string(i) + " target out of range";
+        }
+        if (ins.op == Opcode::kCall) {
+          if (!is_start[ins.target]) {
+            return "call at " + std::to_string(i) + " does not target a function start";
+          }
+        } else if (!f.contains(ins.target)) {
+          // Jumps must stay within their own function.
+          return "jump at " + std::to_string(i) + " leaves function '" + f.name + "'";
         }
       }
-    }
-    if (ins.rd >= kNumRegisters || ins.rs >= kNumRegisters) {
-      return "instruction " + std::to_string(i) + " uses invalid register";
+      if (ins.rd >= kNumRegisters || ins.rs >= kNumRegisters) {
+        return "instruction " + std::to_string(i) + " uses invalid register";
+      }
     }
   }
   // Each function's last instruction must not fall through off its end.

@@ -8,6 +8,7 @@
 #include "cfg/cfg.hpp"
 #include "features/extended.hpp"
 #include "features/features.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/threadpool.hpp"
 #include "util/timer.hpp"
@@ -25,7 +26,9 @@ DetectionServer::DetectionServer(ModelRegistry& registry,
       feature_cache_(config.feature_cache_capacity == 0
                          ? nullptr
                          : std::make_shared<features::FeatureCache>(
-                               config.feature_cache_capacity)) {
+                               config.feature_cache_capacity)),
+      featurize_ms_(
+          &obs::MetricsRegistry::global().histogram("serve.featurize_ms")) {
   if (config_.workers == 0) config_.workers = util::default_thread_count();
   if (config_.max_batch == 0) config_.max_batch = 1;
   workers_.reserve(config_.workers);
@@ -106,6 +109,7 @@ std::future<util::Result<Verdict>> DetectionServer::submit(
   // the server-wide cache short-circuits resubmitted graphs.
   std::vector<double> row;
   try {
+    obs::TraceSpan span("serve.featurize");
     // main_only: the paper's per-binary convention.
     const cfg::Cfg graph = cfg::extract_cfg(program, {.main_only = true});
     auto& engine = features::FeatureEngine::local();
@@ -116,6 +120,8 @@ std::future<util::Result<Verdict>> DetectionServer::submit(
       const auto fv = engine.extract(graph.graph, feature_cache_.get());
       row.assign(fv.begin(), fv.end());
     }
+    span.close();
+    featurize_ms_->observe(span.elapsed_ms());
   } catch (const std::invalid_argument& e) {
     stats_.on_submitted();
     stats_.on_rejected_invalid();

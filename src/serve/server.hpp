@@ -101,7 +101,9 @@ class DetectionServer {
 
   /// Extract the CFG (entry function, the paper's convention) and featurize
   /// on the caller's thread, then enqueue. The feature width follows the
-  /// active checkpoint's spec (23 or 41).
+  /// active checkpoint's spec (23 or 41). Featurization runs under a
+  /// "serve.featurize" span and lands in the "serve.featurize_ms"
+  /// histogram.
   std::future<util::Result<Verdict>> submit(const isa::Program& program,
                                             double deadline_ms = -1.0);
 
@@ -148,6 +150,7 @@ class DetectionServer {
   ServerConfig config_;
   BoundedQueue<Request> queue_;
   std::shared_ptr<features::FeatureCache> feature_cache_;
+  obs::Histogram* featurize_ms_;  // "serve.featurize_ms", resolved once
   ServerStats stats_;
   std::vector<std::thread> workers_;
   bool stopped_ = false;

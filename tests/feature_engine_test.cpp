@@ -10,16 +10,21 @@
 #include <cstdint>
 #include <vector>
 
+#include "bingen/families.hpp"
+#include "cfg/cfg.hpp"
 #include "features/engine.hpp"
 #include "features/features.hpp"
 #include "features/reference.hpp"
+#include "gea/embed.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/centrality.hpp"
 #include "graph/generators.hpp"
 #include "graph/sweep.hpp"
+#include "isa/program.hpp"
 #include "obs/metrics.hpp"
 #include "util/faultinject.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -52,10 +57,37 @@ void expect_features_bitwise_equal(const FeatureVector& got,
   }
 }
 
+/// `k` chained if/else diamonds: each condition block branches to a then
+/// block and an else block that rejoin at the next condition, so the final
+/// block is reached from the entry along 2^k shortest paths.
+isa::Program diamond_chain_program(std::size_t k) {
+  isa::ProgramBuilder b;
+  b.begin_function("main");
+  for (std::size_t i = 0; i < k; ++i) {
+    const int other = b.new_label();
+    const int join = b.new_label();
+    b.cmpi(0, 0);
+    b.jump(isa::Opcode::kJe, other);
+    b.nop();  // then
+    b.jump(isa::Opcode::kJmp, join);
+    b.bind(other);
+    b.nop();  // else
+    b.bind(join);
+  }
+  b.halt();
+  b.end_function();
+  return b.build();
+}
+
+graph::DiGraph main_cfg(const isa::Program& p) {
+  return cfg::extract_cfg(p, {.main_only = true}).graph;
+}
+
 /// The property-test population: CFG-shaped graphs, Erdos-Renyi at several
 /// densities (p = 0 gives fully disconnected graphs), classic shapes, and
 /// hand-built degenerate cases (empty, one node, self-loop, disjoint
-/// unions). Deliberately over 200 graphs.
+/// unions). Deliberately over 200 graphs, and some past 64 nodes: there
+/// the sweep's visited bitmap spans several words.
 std::vector<graph::DiGraph> property_population() {
   Rng rng(20260806);
   std::vector<graph::DiGraph> pop;
@@ -87,6 +119,30 @@ std::vector<graph::DiGraph> property_population() {
       pop.push_back(graph::erdos_renyi(n, p, rng));
     }
   }
+
+  for (std::size_t n : {63, 64, 65, 127, 128, 129, 200, 257}) {
+    pop.push_back(graph::random_cfg_shape(n, 0.25 + 0.5 * rng.uniform(),
+                                          0.2 * rng.uniform(), rng));
+  }
+  // Real CFGs of a few hundred blocks: served programs at size_scale 8
+  // and GEA combined graphs.
+  bingen::GenOptions large;
+  large.size_scale = 8.0;
+  for (auto family : {bingen::Family::kMiraiLike, bingen::Family::kGafgytLike,
+                      bingen::Family::kBenignDaemon}) {
+    pop.push_back(main_cfg(bingen::generate_program(family, rng, large)));
+  }
+  for (auto [org, sel] :
+       {std::pair{bingen::Family::kTsunamiLike, bingen::Family::kBenignUtility},
+        std::pair{bingen::Family::kBenignNetTool, bingen::Family::kMiraiLike},
+        std::pair{bingen::Family::kGafgytLike, bingen::Family::kBenignDaemon}}) {
+    const auto original = bingen::generate_program(org, rng);
+    const auto selected = bingen::generate_program(sel, rng);
+    pop.push_back(main_cfg(aug::embed_program(original, selected)));
+  }
+  // 2^62 shortest paths into the last block: the largest diamond chain
+  // whose counts still fit in int64.
+  pop.push_back(main_cfg(diamond_chain_program(62)));
   return pop;
 }
 
@@ -155,6 +211,49 @@ TEST(FeatureEngineProperty, SweepWithNullSinksIsANoop) {
   single_sweep(g, scratch, {.betweenness = &bc});
   expect_bitwise_equal(bc, features::reference::betweenness_centrality(g),
                        "betweenness-only sweep", 0);
+}
+
+TEST(FeatureEngineProperty, PopulationCrossesOneBitmapWord) {
+  const auto pop = property_population();
+  std::size_t above_64 = 0, above_256 = 0;
+  for (const auto& g : pop) {
+    above_64 += g.num_nodes() > 64 ? 1 : 0;
+    above_256 += g.num_nodes() > 256 ? 1 : 0;
+  }
+  EXPECT_GE(above_64, 10u);
+  EXPECT_GE(above_256, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Shortest-path counts past int64
+
+TEST(FeatureEngineOverflow, DiamondChainPastInt64CountsInDouble) {
+  // 70 diamonds: 2^70 shortest paths from the entry to the exit. The sweep
+  // recounts such sources in double. (features::reference counts in int64
+  // like the seed and would overflow here, so it is not called.)
+  const auto g = main_cfg(diamond_chain_program(70));
+  ASSERT_EQ(g.num_nodes(), 211u);
+  const auto want = graph::betweenness_centrality_reference(g);
+  const auto got = graph::betweenness_centrality(g);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t v = 0; v < got.size(); ++v) {
+    EXPECT_NEAR(got[v], want[v], 1e-9 * std::abs(want[v])) << "node " << v;
+  }
+
+  const auto f = FeatureEngine().extract(g);
+  for (std::size_t i = 0; i < features::kNumFeatures; ++i) {
+    EXPECT_TRUE(std::isfinite(f[i])) << features::feature_name(i);
+  }
+  const auto bc = util::summary5(want);
+  const double fb[5] = {f[features::kBetweennessMin],
+                        f[features::kBetweennessMax],
+                        f[features::kBetweennessMedian],
+                        f[features::kBetweennessMean],
+                        f[features::kBetweennessStd]};
+  const double wb[5] = {bc.min, bc.max, bc.median, bc.mean, bc.stddev};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_NEAR(fb[i], wb[i], 1e-9 * std::abs(wb[i])) << "betweenness stat " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

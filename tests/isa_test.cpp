@@ -158,6 +158,56 @@ TEST(ProgramValidate, CallMustTargetFunctionStart) {
   EXPECT_TRUE(p.validate().has_value());
 }
 
+// validate() walks the functions in order and looks call targets up in a
+// table of function starts; the message it returns must stay the first
+// error a scan over the instructions in index order meets.
+TEST(ProgramValidate, FirstErrorInInstructionOrder) {
+  const Instruction nop{Opcode::kNop, 0, 0, 0, 0};
+  const Instruction halt{Opcode::kHalt, 0, 0, 0, 0};
+  const Instruction ret{Opcode::kRet, 0, 0, 0, 0};
+  auto jump = [](Opcode op, std::uint32_t target) {
+    return Instruction{op, 0, 0, 0, target};
+  };
+  struct Case {
+    std::vector<Instruction> code;
+    std::vector<Function> functions;
+    std::string want;  // empty = valid
+  };
+  const std::vector<Case> cases = {
+      // The jump out of main comes before the call into the middle of f.
+      {{nop, jump(Opcode::kJmp, 3), halt, jump(Opcode::kCall, 4), nop, ret},
+       {{"main", 0, 3}, {"f", 3, 6}},
+       "jump at 1 leaves function 'main'"},
+      // A bad register at 0 comes before a target out of range at 1.
+      {{{Opcode::kMovReg, 16, 0, 0, 0}, jump(Opcode::kJmp, 99), halt},
+       {{"main", 0, 3}},
+       "instruction 0 uses invalid register"},
+      {{halt, jump(Opcode::kJe, 7), ret},
+       {{"main", 0, 1}, {"f", 1, 3}},
+       "instruction 1 target out of range"},
+      // Calls may target the start of any function, the last one included.
+      {{jump(Opcode::kCall, 4), halt, nop, ret, nop, ret},
+       {{"main", 0, 2}, {"g", 2, 4}, {"h", 4, 6}},
+       ""},
+      {{jump(Opcode::kCall, 5), halt, nop, ret, nop, ret},
+       {{"main", 0, 2}, {"g", 2, 4}, {"h", 4, 6}},
+       "call at 0 does not target a function start"},
+      // Every instruction is checked before any function's last one.
+      {{nop, jump(Opcode::kJmp, 0)},
+       {{"main", 0, 1}, {"f", 1, 2}},
+       "jump at 1 leaves function 'f'"},
+      {{nop, ret},
+       {{"main", 0, 1}, {"f", 1, 2}},
+       "function 'main' can fall through its end"},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    Program p;
+    p.code() = cases[i].code;
+    p.functions() = cases[i].functions;
+    EXPECT_EQ(p.validate().value_or(""), cases[i].want) << "case " << i;
+  }
+}
+
 TEST(ProgramValidate, FunctionsMustTile) {
   Program p;
   p.code().push_back({Opcode::kHalt, 0, 0, 0, 0});

@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "attacks/fgsm.hpp"
 #include "attacks/harness.hpp"
 #include "bingen/families.hpp"
@@ -52,8 +54,12 @@ using util::FaultInjector;
 using util::ScopedFault;
 using util::Status;
 
+// Each test discovered by ctest runs in its own process, and `ctest -j`
+// runs them side by side; the pid keeps one process from rewriting a file
+// another is reading.
 std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "gea_robustness_" + name;
+  return testing::TempDir() + "gea_robustness_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 void write_text(const std::string& path, const std::string& text) {
@@ -183,6 +189,7 @@ class CsvRobustnessTest : public RobustnessTest {
     good_text_ = new std::string(read_text(good_path()));
   }
   static void TearDownTestSuite() {
+    std::filesystem::remove(good_path());
     delete corpus_;
     corpus_ = nullptr;
     delete good_text_;

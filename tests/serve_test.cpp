@@ -431,6 +431,42 @@ TEST(Server, ProgramSubmitFeaturizesAndServes) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Server, FeaturizeHistogramCountsProgramSubmissionsOnly) {
+#if defined(GEA_OBS_NOOP)
+  GTEST_SKIP() << "GEA_OBS_NOOP build: instrumentation compiled out";
+#endif
+  const auto dir = write_checkpoint("featurize", 69);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  serve::DetectionServer server(reg, cfg);
+
+  auto observations = [] {
+    const auto snap = obs::MetricsRegistry::global().snapshot();
+    const auto it = snap.histograms.find("serve.featurize_ms");
+    return it == snap.histograms.end() ? std::uint64_t{0} : it->second.count;
+  };
+  const std::uint64_t before = observations();
+
+  constexpr std::uint64_t kPrograms = 3;
+  Rng rng(9);
+  for (std::uint64_t i = 0; i < kPrograms; ++i) {
+    const auto program =
+        bingen::generate_program(bingen::Family::kGafgytLike, rng);
+    ASSERT_TRUE(server.detect(program).is_ok());
+  }
+  EXPECT_EQ(observations(), before + kPrograms);
+
+  // A feature row arrives featurized: nothing to observe.
+  Rng row_rng(10);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(server.detect(synthetic_row(row_rng)).is_ok());
+  }
+  EXPECT_EQ(observations(), before + kPrograms);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Server, HotSwapIsAtomicUnderTraffic) {
   const auto d1 = write_checkpoint("swap_v1", 71);
   const auto d2 = write_checkpoint("swap_v2", 73);
