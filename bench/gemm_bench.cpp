@@ -12,16 +12,18 @@
 //   - scalar: the kernel layer forced onto the portable scalar fallback,
 //     isolating how much of the win is tiling vs im2col lowering.
 //
-// The shapes come at serving batch 16 (forward and full backward) and at
-// batch 1, the per-sample attack step: forward, and the input gradient
-// alone (`_dx`, no weight or bias gradients — what Model::backward_input
-// runs). The seed loops have no input-only backward, so a `_dx` row's
+// The shapes come at serving batch 16 (forward, full backward, and the
+// input gradient alone) and at batch 1, the per-sample attack step
+// (forward and the input gradient alone). An input-gradient row (`_dx`)
+// computes no weight or bias gradient: it is what Model::backward_input
+// runs. The seed loops have no input-only backward, so a `_dx` row's
 // reference time is the full seed backward: the seed's cost of dL/dx.
 // Every row reports its own `speedup` (reference / tuned).
 //
 // The headline `tuned_speedup` (sum of reference times / sum of tuned
 // times over the batch-16 forward shapes) is gated in CI by
-// tools/bench_check; `train_speedup` covers every batch-16 shape.
+// tools/bench_check; `train_speedup` covers the batch-16 forward and full
+// backward shapes.
 //
 // Before timing, every shape's kernel output is checked ULP-bounded
 // against the reference; a divergence aborts with exit 1 (a benchmark of
@@ -85,15 +87,19 @@ std::vector<LayerCase> paper_cnn_layers(std::size_t n,
           dense("dense1", 368, 512),       dense("dense2", 512, 2)};
 }
 
-/// Forward and full backward at serving batch `batch`, then forward and
-/// input gradient at batch 1.
+/// Forward, full backward and input gradient at serving batch `batch`,
+/// then forward and input gradient at batch 1.
 std::vector<LayerCase> paper_cnn_cases(std::size_t batch) {
   std::vector<LayerCase> cases;
-  for (LayerCase c : paper_cnn_layers(batch, "")) {
-    cases.push_back(c);
-    c.label += "_bwd";
+  for (const LayerCase& fwd : paper_cnn_layers(batch, "")) {
+    cases.push_back(fwd);
+    LayerCase c = fwd;
+    c.label = fwd.label + "_bwd";
     c.backward = true;
     c.infer_shape = false;
+    cases.push_back(c);
+    c.label = fwd.label + "_dx";
+    c.input_only = true;
     cases.push_back(c);
   }
   for (LayerCase c : paper_cnn_layers(1, "_b1")) {
@@ -329,7 +335,7 @@ int main(int argc, char** argv) {
     row.scalar_ms = best_of(reps, case_iters, c, buf, /*reference=*/false);
     (void)kernels::set_active_config(report.best);
     rows.push_back(row);
-    if (row.batch == batch) {
+    if (row.batch == batch && !c.input_only) {
       total_ref_ms += row.ref_ms;
       total_tuned_ms += row.tuned_ms;
     }

@@ -125,54 +125,63 @@ void conv1d_backward(const Conv1DShape& s, const float* x, const float* w,
   }
 
   KernelScratch& scratch = KernelScratch::tls();
-  // The column matrix of x feeds only the weight gradient.
-  float* col = nullptr;
-  if (gw != nullptr) {
-    col = scratch.col(kdim * ncols);
-    im2col(s, x, col);
-  }
-  float* dcol = scratch.dcol(kdim * l_out);
-
-  for (std::size_t i = 0; i < s.n; ++i) {
-    const float* g_i = grad_out + i * s.out_ch * l_out;
-
-    // gw += G_i * col_i^T: (out_ch x l_out) * (l_out x kdim), sample-major
-    // accumulation matching the seed loop's order.
-    if (gw != nullptr) {
-      GemmSpec wspec;
-      wspec.m = s.out_ch;
-      wspec.n = kdim;
-      wspec.k = l_out;
-      wspec.a = g_i;
-      wspec.lda = l_out;
-      wspec.b = col + i * l_out;  // column slice of sample i, transposed view
-      wspec.ldb = ncols;
-      wspec.trans_b = true;
-      wspec.c = gw;
-      wspec.ldc = kdim;
-      wspec.accumulate = true;
-      gemm(wspec);
+  // G as (out_ch, n*l_out), the column order of the forward's output; at
+  // batch 1 grad_out already has that layout.
+  const float* g = grad_out;
+  if (s.n > 1) {
+    float* gbuf = scratch.cbuf(s.out_ch * ncols);
+    for (std::size_t i = 0; i < s.n; ++i) {
+      for (std::size_t oc = 0; oc < s.out_ch; ++oc) {
+        std::memcpy(gbuf + oc * ncols + i * l_out,
+                    grad_out + (i * s.out_ch + oc) * l_out,
+                    l_out * sizeof(float));
+      }
     }
+    g = gbuf;
+  }
 
-    // dcol = W^T * G_i: (kdim x out_ch) * (out_ch x l_out).
-    GemmSpec xspec;
-    xspec.m = kdim;
-    xspec.n = l_out;
-    xspec.k = s.out_ch;
-    xspec.a = w;
-    xspec.lda = kdim;
-    xspec.trans_a = true;
-    xspec.b = g_i;
-    xspec.ldb = l_out;
-    xspec.c = dcol;
-    xspec.ldc = l_out;
-    gemm(xspec);
+  // gw += G * col^T: (out_ch x n*l_out) * (n*l_out x kdim). The shared
+  // dimension runs sample-major, position-ascending: the seed loop's order.
+  if (gw != nullptr) {
+    float* col = scratch.col(kdim * ncols);
+    im2col(s, x, col);
+    GemmSpec wspec;
+    wspec.m = s.out_ch;
+    wspec.n = kdim;
+    wspec.k = ncols;
+    wspec.a = g;
+    wspec.lda = ncols;
+    wspec.b = col;  // (kdim, n*l_out) read as its transpose
+    wspec.ldb = ncols;
+    wspec.trans_b = true;
+    wspec.c = gw;
+    wspec.ldc = kdim;
+    wspec.accumulate = true;
+    gemm(wspec);
+  }
 
-    // col2im: scatter-add dcol rows back into the padded input positions.
+  // dcol = W^T * G: (kdim x out_ch) * (out_ch x n*l_out), the whole batch.
+  float* dcol = scratch.dcol(kdim * ncols);
+  GemmSpec xspec;
+  xspec.m = kdim;
+  xspec.n = ncols;
+  xspec.k = s.out_ch;
+  xspec.a = w;
+  xspec.lda = kdim;
+  xspec.trans_a = true;
+  xspec.b = g;
+  xspec.ldb = ncols;
+  xspec.c = dcol;
+  xspec.ldc = ncols;
+  gemm(xspec);
+
+  // col2im per sample: scatter-add dcol rows back into the padded input
+  // positions.
+  for (std::size_t i = 0; i < s.n; ++i) {
     for (std::size_t ic = 0; ic < s.in_ch; ++ic) {
       float* gx_row = grad_in + (i * s.in_ch + ic) * s.l_in;
       for (std::size_t t = 0; t < s.k; ++t) {
-        const float* d_row = dcol + (ic * s.k + t) * l_out;
+        const float* d_row = dcol + (ic * s.k + t) * ncols + i * l_out;
         const std::ptrdiff_t shift = base + static_cast<std::ptrdiff_t>(t);
         const std::size_t j_lo =
             shift < 0 ? static_cast<std::size_t>(-shift) : 0;

@@ -4,18 +4,22 @@
 // matrix is materialized once per call into thread-local scratch (with a
 // k=3-specialized builder for the paper's kernels, edge columns split out
 // so the interior copies run without per-element bounds checks), then one
-// GEMM per call produces every sample's output. Backward recomputes the
-// column matrix and reduces to two GEMMs per sample (weight gradient:
-// G * col^T accumulated; input gradient: W^T * G scattered by col2im).
-// Dense forward/backward are direct GEMM mappings.
+// GEMM per call produces every sample's output. Backward interleaves the
+// output gradient G once into (out_ch, n * l_out), the forward's column
+// order, and runs two GEMMs per batch: the weight gradient G * col^T
+// accumulated over k = n * l_out (sample-major, position-ascending, the
+// seed loop's order), and the input gradient W^T * G, which col2im
+// scatters back per sample. Dense forward/backward are direct GEMM
+// mappings.
 //
 // Numeric contract (see kernels/reference.hpp for the preserved seed
 // loops): every output element is one k-ordered accumulation chain, so
 // results are independent of batch size and tile configuration —
 // per-sample forward, batched infer, and any tuning of the active config
-// all agree bitwise with each other — and ULP-bounded against the seed
-// loops, whose only differences are per-input-channel regrouping and
-// skipped zero terms.
+// all agree bitwise with each other, as do one batch-N backward and N
+// single-sample backward calls that accumulate gw and gb in sample
+// order — and ULP-bounded against the seed loops, whose only differences
+// are per-input-channel regrouping and skipped zero terms.
 #pragma once
 
 #include <cstddef>

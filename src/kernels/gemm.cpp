@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "obs/metrics.hpp"
 
@@ -49,16 +50,92 @@ void scalar_gemm(const GemmSpec& s) {
   }
 }
 
-/// crow[j] += av * brow[j] for j < n: one step of n independent chains, in
-/// fixed-width blocks the compiler vectorizes.
-void axpy_row(std::size_t n, float av, const float* __restrict brow,
-              float* __restrict crow) {
-  constexpr std::size_t kBlock = 16;
-  std::size_t j = 0;
-  for (; j + kBlock <= n; j += kBlock) {
-    for (std::size_t t = 0; t < kBlock; ++t) crow[j + t] += av * brow[j + t];
+// Four float lanes: the vector width of the baseline x86-64 (SSE2) and
+// AArch64 (NEON) ISAs, so the build needs no ISA flag. Lane-wise vector
+// multiply and add round exactly like their scalar forms.
+using v4f = float __attribute__((vector_size(16)));
+constexpr std::size_t kLanes = 4;
+
+inline v4f load4(const float* p) {
+  v4f v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store4(float* p, v4f v) { std::memcpy(p, &v, sizeof v); }
+
+inline v4f splat(float x) { return v4f{x, x, x, x}; }
+
+/// Transpose the 4 x 4 block whose rows are r0..r3, in place: afterwards
+/// lane t of r_q holds what lane q of r_t held.
+inline void transpose4(v4f& r0, v4f& r1, v4f& r2, v4f& r3) {
+  const v4f t0 = __builtin_shufflevector(r0, r1, 0, 4, 1, 5);
+  const v4f t1 = __builtin_shufflevector(r0, r1, 2, 6, 3, 7);
+  const v4f t2 = __builtin_shufflevector(r2, r3, 0, 4, 1, 5);
+  const v4f t3 = __builtin_shufflevector(r2, r3, 2, 6, 3, 7);
+  r0 = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+  r1 = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+  r2 = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+  r3 = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+}
+
+/// crow[0 .. 4*NV) += sum over p of ai[p * a_step] * B[p][0 .. 4*NV): the
+/// block of C stays in registers across all of k, one chain per lane.
+template <int NV>
+void axpy_block(std::size_t k, const float* ai, std::size_t a_step,
+                const float* b, std::size_t ldb, float* crow) {
+  v4f acc[NV];
+#pragma GCC unroll 8
+  for (int q = 0; q < NV; ++q) acc[q] = load4(crow + q * kLanes);
+  for (std::size_t p = 0; p < k; ++p) {
+    const v4f av = splat(ai[p * a_step]);
+    const float* brow = b + p * ldb;
+#pragma GCC unroll 8
+    for (int q = 0; q < NV; ++q) acc[q] += av * load4(brow + q * kLanes);
   }
-  for (; j < n; ++j) crow[j] += av * brow[j];
+#pragma GCC unroll 8
+  for (int q = 0; q < NV; ++q) store4(crow + q * kLanes, acc[q]);
+}
+
+/// crow[0 .. 4*G) += sum over p of ai[p * a_step] * bj[j * ldb + p]: 4*G
+/// dot-product chains side by side. Each 4-deep k step loads a 4 x 4 block
+/// of rows of the transposed B, multiplies each row by the same 4 terms
+/// of A, and transposes the products in registers, so lane t of the q-th
+/// vector is column t's term p + q; the k % 4 tail terms are gathered lane
+/// by lane. A product is the same float whichever operand is on the left,
+/// and every chain still adds its terms in k order.
+template <int G>
+void dot_block(std::size_t k, const float* ai, std::size_t a_step,
+               const float* bj, std::size_t ldb, float* crow) {
+  v4f acc[G];
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) acc[g] = load4(crow + g * kLanes);
+  std::size_t p = 0;
+  for (; p + kLanes <= k; p += kLanes) {
+    const float* ap = ai + p * a_step;
+    const v4f av = {ap[0], ap[a_step], ap[2 * a_step], ap[3 * a_step]};
+#pragma GCC unroll 4
+    for (int g = 0; g < G; ++g) {
+      const float* rows = bj + g * kLanes * ldb + p;
+      v4f r0 = av * load4(rows), r1 = av * load4(rows + ldb);
+      v4f r2 = av * load4(rows + 2 * ldb), r3 = av * load4(rows + 3 * ldb);
+      transpose4(r0, r1, r2, r3);
+      acc[g] += r0;
+      acc[g] += r1;
+      acc[g] += r2;
+      acc[g] += r3;
+    }
+  }
+  for (; p < k; ++p) {
+    const v4f av = splat(ai[p * a_step]);
+#pragma GCC unroll 4
+    for (int g = 0; g < G; ++g) {
+      const float* col = bj + g * kLanes * ldb + p;
+      acc[g] += av * v4f{col[0], col[ldb], col[2 * ldb], col[3 * ldb]};
+    }
+  }
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) store4(crow + g * kLanes, acc[g]);
 }
 
 /// Unpacked path for products with fewer rows than the register tile
@@ -66,59 +143,60 @@ void axpy_row(std::size_t n, float av, const float* __restrict brow,
 /// row of an mr-tall tile costs more than the product itself, so each row
 /// of C reads A and B in place. The chains are the same as on every other
 /// path: C[i][j] starts from init_c and takes its k terms in ascending
-/// order. Only independent chains run side by side — lanes of a row of B,
-/// or kDotLanes dot products over rows of the transposed B.
+/// order. Only independent chains run side by side: a block of 32 columns
+/// of C held in registers across k (B not transposed), or 16 dot products
+/// over rows of the transposed B. Columns past the last full block take
+/// 4-wide blocks, then scalar chains (interleaved, with B transposed).
 void direct_gemm(const GemmSpec& s) {
-  constexpr std::size_t kDotLanes = 4;
+  constexpr std::size_t kAxpyCols = 32, kDotCols = 16;
   init_c(s);
   const std::size_t n = s.n, k = s.k, ldb = s.ldb;
   const std::size_t a_step = s.trans_a ? s.lda : 1;
   for (std::size_t i = 0; i < s.m; ++i) {
     const float* ai = s.trans_a ? s.a + i : s.a + i * s.lda;
     float* crow = s.c + i * s.ldc;
+    std::size_t j = 0;
     if (!s.trans_b) {
-      for (std::size_t p = 0; p < k; ++p) {
-        axpy_row(n, ai[p * a_step], s.b + p * ldb, crow);
+      for (; j + kAxpyCols <= n; j += kAxpyCols) {
+        axpy_block<kAxpyCols / kLanes>(k, ai, a_step, s.b + j, ldb, crow + j);
+      }
+      for (; j + kLanes <= n; j += kLanes) {
+        axpy_block<1>(k, ai, a_step, s.b + j, ldb, crow + j);
+      }
+      for (; j < n; ++j) {
+        float acc = crow[j];
+        for (std::size_t p = 0; p < k; ++p) {
+          acc += ai[p * a_step] * s.b[p * ldb + j];
+        }
+        crow[j] = acc;
       }
       continue;
     }
-    std::size_t j = 0;
-    for (; j + kDotLanes <= n; j += kDotLanes) {
-      const float* bj = s.b + j * ldb;
-      float acc[kDotLanes];
-      for (std::size_t t = 0; t < kDotLanes; ++t) acc[t] = crow[j + t];
+    for (; j + kDotCols <= n; j += kDotCols) {
+      dot_block<kDotCols / kLanes>(k, ai, a_step, s.b + j * ldb, ldb, crow + j);
+    }
+    for (; j + kLanes <= n; j += kLanes) {
+      dot_block<1>(k, ai, a_step, s.b + j * ldb, ldb, crow + j);
+    }
+    if (j < n) {
+      // The last n % 4 columns (dense2's K logits): up to three chains
+      // interleaved so their add latencies overlap. A chain past n re-reads
+      // column n - 1 and is not stored.
+      const std::size_t j1 = std::min(j + 1, n - 1);
+      const std::size_t j2 = std::min(j + 2, n - 1);
+      const float* b0 = s.b + j * ldb;
+      const float* b1 = s.b + j1 * ldb;
+      const float* b2 = s.b + j2 * ldb;
+      float c0 = crow[j], c1 = crow[j1], c2 = crow[j2];
       for (std::size_t p = 0; p < k; ++p) {
         const float av = ai[p * a_step];
-        for (std::size_t t = 0; t < kDotLanes; ++t) {
-          acc[t] += av * bj[t * ldb + p];
-        }
+        c0 += av * b0[p];
+        c1 += av * b1[p];
+        c2 += av * b2[p];
       }
-      for (std::size_t t = 0; t < kDotLanes; ++t) crow[j + t] = acc[t];
-    }
-    for (; j < n; ++j) {
-      const float* bj = s.b + j * ldb;
-      float acc = crow[j];
-      for (std::size_t p = 0; p < k; ++p) acc += ai[p * a_step] * bj[p];
-      crow[j] = acc;
-    }
-  }
-}
-
-/// Pack the (mb x kb) block of A at (i0, p0) into MR-tall row panels laid
-/// out k-major: panel q, offset kk*MR + r holds A[i0 + q*MR + r][p0 + kk].
-/// Rows past mb are zero-filled so partial register tiles can run the
-/// full-tile microkernel unchanged.
-void pack_a_block(const GemmSpec& s, std::size_t i0, std::size_t mb,
-                  std::size_t p0, std::size_t kb, std::size_t mr, float* ap) {
-  const std::size_t panels = (mb + mr - 1) / mr;
-  for (std::size_t q = 0; q < panels; ++q) {
-    float* panel = ap + q * mr * kb;
-    const std::size_t rows = std::min(mr, mb - q * mr);
-    for (std::size_t kk = 0; kk < kb; ++kk) {
-      float* dst = panel + kk * mr;
-      std::size_t r = 0;
-      for (; r < rows; ++r) dst[r] = load_a(s, i0 + q * mr + r, p0 + kk);
-      for (; r < mr; ++r) dst[r] = 0.0f;
+      crow[j] = c0;
+      if (j + 1 < n) crow[j1] = c1;
+      if (j + 2 < n) crow[j2] = c2;
     }
   }
 }
@@ -140,39 +218,70 @@ void pack_b_block(const GemmSpec& s, std::size_t p0, std::size_t kb,
   }
 }
 
-/// MR x NR register tile over a kb-deep panel pair. One code path for full
-/// and partial tiles: valid lanes load their running chain from C, dead
-/// lanes run on zeros and are dropped by the masked store — so the FP op
-/// sequence of a chain never depends on where its element fell in the
-/// tiling, which is what makes results independent of batch position.
+/// MR x NR register tile over a kb-deep packed B panel. A is read in
+/// place: tile row r, depth kk is a[r * a_row + kk * a_k], which covers
+/// plain A (a_row = lda, a_k = 1) and the transposed view (a_row = 1,
+/// a_k = lda). The accumulators stay in vector registers for all of kb.
+/// A full tile loads and stores C in place. An edge tile (mv < MR or
+/// nv < NR) runs on a zeroed copy of its valid lanes and writes only those
+/// back; rows past mv re-read row mv - 1, so no read leaves the operand,
+/// and B's zero-padded columns feed the dead columns. Every chain runs the
+/// same op sequence wherever its element fell in the tiling, which is what
+/// makes results independent of batch position.
 template <int MR, int NR>
-void micro_tile(std::size_t kb, const float* __restrict ap,
-                const float* __restrict bp, float* __restrict c,
+void micro_tile(std::size_t kb, const float* a, std::size_t a_row,
+                std::size_t a_k, const float* __restrict bp, float* c,
                 std::size_t ldc, std::size_t mv, std::size_t nv) {
-  float acc[MR][NR];
+  constexpr int NV = NR / static_cast<int>(kLanes);
+  const float* arow[MR];
+#pragma GCC unroll 8
   for (int r = 0; r < MR; ++r) {
-    for (int t = 0; t < NR; ++t) {
-      acc[r][t] = (static_cast<std::size_t>(r) < mv &&
-                   static_cast<std::size_t>(t) < nv)
-                      ? c[static_cast<std::size_t>(r) * ldc + t]
-                      : 0.0f;
+    arow[r] = a + std::min(static_cast<std::size_t>(r), mv - 1) * a_row;
+  }
+  const bool full = mv == MR && nv == NR;
+  float edge[MR * NR];
+  float* tile = full ? c : edge;
+  const std::size_t ldt = full ? ldc : NR;
+  if (!full) {
+    std::fill(edge, edge + MR * NR, 0.0f);
+    for (std::size_t r = 0; r < mv; ++r) {
+      std::copy(c + r * ldc, c + r * ldc + nv, edge + r * NR);
     }
+  }
+  v4f acc[MR][NV];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (int q = 0; q < NV; ++q) acc[r][q] = load4(tile + r * ldt + q * kLanes);
   }
   for (std::size_t kk = 0; kk < kb; ++kk) {
-    const float* __restrict arow = ap + kk * MR;
-    const float* __restrict brow = bp + kk * NR;
+    const float* brow = bp + kk * NR;
+    v4f b[NV];
+#pragma GCC unroll 4
+    for (int q = 0; q < NV; ++q) b[q] = load4(brow + q * kLanes);
+    const std::size_t off = kk * a_k;
+#pragma GCC unroll 8
     for (int r = 0; r < MR; ++r) {
-      const float av = arow[r];
-      for (int t = 0; t < NR; ++t) acc[r][t] += av * brow[t];
+      const v4f av = splat(arow[r][off]);
+#pragma GCC unroll 4
+      for (int q = 0; q < NV; ++q) acc[r][q] += av * b[q];
     }
   }
-  for (std::size_t r = 0; r < mv; ++r) {
-    for (std::size_t t = 0; t < nv; ++t) c[r * ldc + t] = acc[r][t];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (int q = 0; q < NV; ++q) store4(tile + r * ldt + q * kLanes, acc[r][q]);
+  }
+  if (!full) {
+    for (std::size_t r = 0; r < mv; ++r) {
+      std::copy(edge + r * NR, edge + r * NR + nv, c + r * ldc);
+    }
   }
 }
 
-using MicroFn = void (*)(std::size_t, const float*, const float*, float*,
-                         std::size_t, std::size_t, std::size_t);
+using MicroFn = void (*)(std::size_t, const float*, std::size_t, std::size_t,
+                         const float*, float*, std::size_t, std::size_t,
+                         std::size_t);
 
 struct Variant {
   std::uint32_t mr, nr;
@@ -198,6 +307,9 @@ void tiled_gemm(const GemmSpec& s, const KernelConfig& cfg,
                 KernelScratch& scratch, MicroFn micro) {
   const std::size_t mr = cfg.mr, nr = cfg.nr;
   const std::size_t mc = cfg.mc, kc = cfg.kc, nc = cfg.nc;
+  // A is read in place: A[i][p] is a[i * a_row + p * a_k].
+  const std::size_t a_row = s.trans_a ? 1 : s.lda;
+  const std::size_t a_k = s.trans_a ? s.lda : 1;
   init_c(s);
   for (std::size_t j0 = 0; j0 < s.n; j0 += nc) {
     const std::size_t nb = std::min(nc, s.n - j0);
@@ -208,20 +320,16 @@ void tiled_gemm(const GemmSpec& s, const KernelConfig& cfg,
       const std::size_t kb = std::min(kc, s.k - p0);
       float* bp = scratch.pack_b(npanels * nr * kb);
       pack_b_block(s, p0, kb, j0, nb, nr, bp);
+      // Row blocks of mc share each packed B panel while it is hot.
       for (std::size_t i0 = 0; i0 < s.m; i0 += mc) {
-        const std::size_t mb = std::min(mc, s.m - i0);
-        const std::size_t mpanels = (mb + mr - 1) / mr;
-        float* ap = scratch.pack_a(mpanels * mr * kb);
-        pack_a_block(s, i0, mb, p0, kb, mr, ap);
+        const std::size_t i_end = std::min(s.m, i0 + mc);
         for (std::size_t jq = 0; jq < npanels; ++jq) {
           const std::size_t j = j0 + jq * nr;
           const std::size_t nv = std::min(nr, s.n - j);
           const float* bpanel = bp + jq * nr * kb;
-          for (std::size_t iq = 0; iq < mpanels; ++iq) {
-            const std::size_t i = i0 + iq * mr;
-            const std::size_t mv = std::min(mr, s.m - i);
-            micro(kb, ap + iq * mr * kb, bpanel, s.c + i * s.ldc + j, s.ldc,
-                  mv, nv);
+          for (std::size_t i = i0; i < i_end; i += mr) {
+            micro(kb, s.a + i * a_row + p0 * a_k, a_row, a_k, bpanel,
+                  s.c + i * s.ldc + j, s.ldc, std::min(mr, i_end - i), nv);
           }
         }
       }

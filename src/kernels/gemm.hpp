@@ -2,13 +2,21 @@
 //
 // One entry point owns the dense-math hot path: Conv1D (via im2col
 // lowering, see kernels/conv.hpp) and Dense forward/backward/batched-infer
-// all reduce to gemm() calls. The implementation is a classic three-level
-// blocking scheme (BLIS-style): B is packed into nr-wide column panels and
-// A into mr-tall row panels per (kc x nc) / (mc x kc) cache block, and an
-// mr x nr register-tile microkernel walks the shared dimension. Products
-// with fewer rows than the register tile (m < mr: dense layers at batch
-// 1-3) skip the packing and take an unpacked direct path; the choice
-// depends on the shape and the active mr alone.
+// all reduce to gemm() calls. The implementation is a three-level blocking
+// scheme (BLIS-style): B is packed into nr-wide column panels per
+// (kc x nc) block, mc-row blocks of C reuse each packed panel, and an
+// mr x nr register-tile microkernel walks the shared dimension with its
+// accumulators in vector registers (four-lane GCC/Clang vector
+// extensions, so no ISA flag). A is never packed: the microkernel reads
+// it in place through per-row pointers and a k-stride, which covers plain
+// A (conv weights, activations) and the transposed view (W^T in the conv
+// input gradient, G^T in the dense weight gradient) alike, so a weight
+// matrix costs no copy per call and no cache that weight updates would
+// have to invalidate. Products with fewer rows than the register tile
+// (m < mr: dense layers at batch 1-3) take an unpacked direct path that
+// keeps a block of C in registers across k, or runs 16 dot products side
+// by side through in-register 4 x 4 transposes of the transposed B; the
+// choice depends on the shape and the active mr alone.
 //
 // Floating-point contract — the property every caller leans on:
 //
@@ -18,7 +26,8 @@
 //
 // Tiling never splits or reorders a chain: the k-block loop is outermost
 // per column block and partial register tiles run the exact same unrolled
-// code as full ones (zero-padded panels, masked stores). Consequently the
+// code as full ones (zero-padded B panels, dead A rows re-reading the last
+// live row, masked stores). Consequently the
 // result is independent of the tile parameters, the batch position an
 // element lands in, and whether the tiled, direct or scalar-fallback path
 // ran — which is what keeps batched inference bitwise-identical to

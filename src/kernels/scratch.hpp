@@ -1,8 +1,10 @@
 // Grow-only, thread-local scratch for the kernel layer.
 //
-// Every buffer the GEMM/conv path needs between calls — packed A/B panels,
-// the materialized im2col matrix, the gradient column buffer, and the
-// wide-C staging buffer — lives here instead of being allocated per call.
+// Every buffer the GEMM/conv path needs between calls — packed B panels
+// (A is read in place), the materialized im2col matrix, the gradient
+// column buffer, and the (out_ch, n * l_out) staging buffer for a batch's
+// conv output or output gradient — lives here instead of being allocated
+// per call.
 // Buffers only ever grow (same discipline as features::FeatureEngine), so
 // after one warm-up call per shape the steady-state forward/backward path
 // performs zero allocations; tests assert footprint stability.
@@ -17,7 +19,6 @@ class KernelScratch {
  public:
   /// Grow-only view: returns a pointer to at least `n` floats. Contents
   /// are unspecified — kernels overwrite what they read.
-  float* pack_a(std::size_t n) { return ensure(pack_a_, n); }
   float* pack_b(std::size_t n) { return ensure(pack_b_, n); }
   float* col(std::size_t n) { return ensure(col_, n); }
   float* dcol(std::size_t n) { return ensure(dcol_, n); }
@@ -26,8 +27,8 @@ class KernelScratch {
   /// Total bytes currently reserved — the number a footprint-stability
   /// test watches across repeated same-shape calls.
   std::size_t footprint_bytes() const {
-    return (pack_a_.capacity() + pack_b_.capacity() + col_.capacity() +
-            dcol_.capacity() + cbuf_.capacity()) *
+    return (pack_b_.capacity() + col_.capacity() + dcol_.capacity() +
+            cbuf_.capacity()) *
            sizeof(float);
   }
 
@@ -41,7 +42,6 @@ class KernelScratch {
     return v.data();
   }
 
-  std::vector<float> pack_a_;
   std::vector<float> pack_b_;
   std::vector<float> col_;
   std::vector<float> dcol_;

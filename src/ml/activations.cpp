@@ -5,23 +5,28 @@
 
 namespace gea::ml {
 
+// One rule everywhere: y = x > 0 ? x : 0, so -0, NaN and every
+// non-positive input give +0, and forward, infer and backward agree on
+// which lanes pass. Each loop is a branch-free select the compiler
+// vectorizes.
 Tensor ReLU::forward(const Tensor& x, bool /*training*/) {
   Tensor y = x;
-  mask_.assign(x.size(), false);
+  mask_.resize(x.size());
+  float* yv = y.data();
+  std::uint8_t* mv = mask_.data();
   for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] > 0.0f) {
-      mask_[i] = true;
-    } else {
-      y[i] = 0.0f;
-    }
+    const bool pass = yv[i] > 0.0f;
+    mv[i] = pass;
+    yv[i] = pass ? yv[i] : 0.0f;
   }
   return y;
 }
 
 Tensor ReLU::infer(const Tensor& x) {
   Tensor y = x;
+  float* yv = y.data();
   for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] <= 0.0f) y[i] = 0.0f;
+    yv[i] = yv[i] > 0.0f ? yv[i] : 0.0f;
   }
   return y;
 }
@@ -31,8 +36,10 @@ Tensor ReLU::backward(const Tensor& grad_out) {
     throw std::invalid_argument("ReLU::backward: gradient size mismatch");
   }
   Tensor grad_in = grad_out;
+  float* gv = grad_in.data();
+  const std::uint8_t* mv = mask_.data();
   for (std::size_t i = 0; i < grad_in.size(); ++i) {
-    if (!mask_[i]) grad_in[i] = 0.0f;
+    gv[i] = mv[i] != 0 ? gv[i] : 0.0f;
   }
   return grad_in;
 }

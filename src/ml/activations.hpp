@@ -1,6 +1,9 @@
 // Stateless / mask-based layers: ReLU, Dropout, Flatten.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "ml/layer.hpp"
 
 namespace gea::ml {
@@ -9,13 +12,14 @@ class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
-  /// Inference fast path: clamp without building the backward mask.
+  /// Inference fast path: forward's clamp (x > 0 ? x : 0, so NaN gives 0)
+  /// without building the backward mask.
   Tensor infer(const Tensor& x) override;
   std::string describe() const override { return "ReLU"; }
   LayerPtr clone() const override { return std::make_unique<ReLU>(); }
 
  private:
-  std::vector<bool> mask_;  // true where input > 0
+  std::vector<std::uint8_t> mask_;  // 1 where input > 0
 };
 
 /// Inverted dropout: at train time zeroes activations with probability `p`

@@ -46,8 +46,9 @@ class Layer {
   /// Inference-only forward over a (possibly multi-sample) batch: skips
   /// every backward cache (input copies, ReLU masks, pool argmaxes) and may
   /// use tighter loops, but MUST produce bitwise-identical output to
-  /// forward(x, false) — the serving layer batches requests through this
-  /// path and the per-sample/batched equivalence is asserted in tests.
+  /// forward(x, false) on every input, NaN, infinities and -0 included —
+  /// the serving layer batches requests through this path and the
+  /// per-sample/batched equivalence is asserted in tests.
   /// backward() after infer() is undefined; call forward() when training.
   virtual Tensor infer(const Tensor& x) { return forward(x, /*training=*/false); }
 

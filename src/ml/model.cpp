@@ -215,8 +215,6 @@ util::Status Model::load_checked(const std::string& path) {
 // ---------------------------------------------------------------------------
 // DifferentiableClassifier
 
-namespace {
-
 std::vector<double> softmax(const std::vector<double>& z) {
   double mx = z[0];
   for (double v : z) mx = std::max(mx, v);
@@ -229,6 +227,8 @@ std::vector<double> softmax(const std::vector<double>& z) {
   for (auto& v : p) v /= sum;
   return p;
 }
+
+namespace {
 
 /// d/d logits of -log softmax_label: p_k - [k == label].
 std::vector<double> loss_weights(const std::vector<double>& z,

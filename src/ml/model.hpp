@@ -144,6 +144,11 @@ class DifferentiableClassifier {
                                         std::vector<double>* logits_out);
 };
 
+/// Max-subtracted softmax of one row of logits: probabilities()'s rule, so
+/// anything that renders probabilities from logits (the server's verdicts)
+/// matches the offline classifier bit for bit.
+std::vector<double> softmax(const std::vector<double>& z);
+
 /// Index of the largest logit; the first one wins a tie (predict()'s rule).
 std::size_t argmax(const std::vector<double>& z);
 

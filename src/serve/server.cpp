@@ -8,6 +8,7 @@
 #include "cfg/cfg.hpp"
 #include "features/extended.hpp"
 #include "features/features.hpp"
+#include "ml/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/threadpool.hpp"
@@ -181,31 +182,6 @@ struct Replica {
 
 thread_local Replica t_replica;
 
-/// Max-subtracted softmax, same expression order as
-/// DifferentiableClassifier::probabilities so served probabilities match
-/// the offline classifier bit for bit.
-std::vector<double> softmax(const std::vector<double>& z) {
-  double mx = z[0];
-  for (double v : z) mx = std::max(mx, v);
-  std::vector<double> p(z.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    p[i] = std::exp(z[i] - mx);
-    sum += p[i];
-  }
-  for (auto& v : p) v /= sum;
-  return p;
-}
-
-/// First-wins argmax, matching DifferentiableClassifier::predict.
-std::size_t argmax(const std::vector<double>& z) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < z.size(); ++i) {
-    if (z[i] > z[best]) best = i;
-  }
-  return best;
-}
-
 }  // namespace
 
 void DetectionServer::process_batch(std::vector<Request>& batch) {
@@ -255,6 +231,20 @@ void DetectionServer::process_batch(std::vector<Request>& batch) {
               .with_context("DetectionServer::process_batch")));
       continue;
     }
+    // A NaN or infinite feature has no meaningful verdict: the model would
+    // map it to NaN, saturated or silently clamped logits.
+    const auto bad = std::find_if(req.features.begin(), req.features.end(),
+                                  [](double v) { return !std::isfinite(v); });
+    if (bad != req.features.end()) {
+      stats_.on_rejected_invalid();
+      req.promise.set_value(util::Result<Verdict>(
+          Status::error(ErrorCode::kInvalidArgument,
+                        "feature " +
+                            std::to_string(bad - req.features.begin()) +
+                            " is not finite")
+              .with_context("DetectionServer::process_batch")));
+      continue;
+    }
     live.push_back(&req);
   }
   if (live.empty()) return;
@@ -290,8 +280,8 @@ void DetectionServer::process_batch(std::vector<Request>& batch) {
     Request& req = *live[i];
     Verdict v;
     v.logits = std::move(logits[i]);
-    v.probabilities = softmax(v.logits);
-    v.predicted = argmax(v.logits);
+    v.probabilities = ml::softmax(v.logits);
+    v.predicted = ml::argmax(v.logits);
     v.class_name = ckpt.schema().name(v.predicted);
     v.schema_digest = ckpt.schema().digest();
     v.model_version = ckpt.version();

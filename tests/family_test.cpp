@@ -6,11 +6,14 @@
 // targeted GEA source→predicted matrix.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bingen/families.hpp"
@@ -45,8 +48,30 @@ dataset::CsvReadOptions csv_opts(bool strict) {
   return o;
 }
 
+/// This process's temp root. ctest runs each test as its own concurrent
+/// process, so the root carries the pid: tests that share a directory name
+/// would otherwise remove each other's files mid-run.
+const fs::path& process_temp_root() {
+  static const fs::path root =
+      fs::temp_directory_path() / ("gea_family_" + std::to_string(::getpid()));
+  return root;
+}
+
+/// Removes the temp root once every test of the process has run.
+class RemoveProcessTempRoot : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    std::error_code ec;
+    fs::remove_all(process_temp_root(), ec);
+  }
+};
+
+const ::testing::Environment* const kRemoveTempRoot =
+    ::testing::AddGlobalTestEnvironment(new RemoveProcessTempRoot);
+
+/// A fresh, empty directory under this process's temp root.
 std::string test_dir(const std::string& name) {
-  const fs::path d = fs::temp_directory_path() / ("gea_family_" + name);
+  const fs::path d = process_temp_root() / name;
   fs::remove_all(d);
   fs::create_directories(d);
   return d.string();

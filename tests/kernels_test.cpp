@@ -1,8 +1,9 @@
 // Tests for the src/kernels dense-math layer: ULP-bounded equivalence of
 // the tiled GEMM path against the preserved seed loops across a randomized
-// shape sweep (ragged M/N/K, batch 1/3/16), bitwise batch invariance,
-// scalar-fallback parity, config persistence round-trips, scratch
-// footprint stability, and the obs metric mirrors.
+// shape sweep (ragged M/N/K, batch 1/3/16), bitwise batch invariance of
+// the conv forward and backward, scalar-fallback parity, config
+// persistence round-trips, scratch footprint stability, and the obs metric
+// mirrors.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -156,53 +157,79 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return true;
 }
 
+// Row-count regimes of ScalarFallbackParity: below the register tile (the
+// unpacked direct path), inside the tiled range, one row past an mc row
+// block (the block's last tile is partial, and its dead rows would land in
+// the next block), and the direct path at n >= 64 (full 32-column axpy and
+// 16-column dot blocks, then their tails).
+enum class Rows { kDirect, kTiled, kPastRowBlock, kDirectWide };
+
 // The chain-order contract makes every path bitwise equal to the scalar
-// fallback: each compiled variant, both transposes, every init mode, row
-// counts below the register tile (the unpacked direct path) and at or
-// above it (the packed tiled path), small and default cache blocks.
+// fallback: each compiled variant, both transposes, every init mode, every
+// row regime, small and default cache blocks, and operands with leading
+// dimensions at or above the minimum. C carries one guard row past m and,
+// when strided, padding past n; the scalar path writes neither, so the
+// whole-buffer comparison also catches a store to a dead row or column.
 TEST(Gemm, ScalarFallbackParity) {
   util::Rng rng(7);
   kernels::KernelScratch scratch;
+  auto draw = [&](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(lo, hi));
+  };
   for (const auto& [mr, nr] : kernels::microkernel_variants()) {
     for (int trans = 0; trans < 4; ++trans) {
       for (int init = 0; init < 4; ++init) {
         for (const bool small_blocks : {false, true}) {
-          for (const bool below_tile : {true, false}) {
-            const auto m = static_cast<std::size_t>(
-                below_tile ? rng.uniform_int(1, mr - 1)
-                           : rng.uniform_int(mr, 40));
-            const auto n = static_cast<std::size_t>(rng.uniform_int(1, 60));
-            const auto k = static_cast<std::size_t>(rng.uniform_int(1, 80));
-            kernels::GemmSpec spec;
-            spec.m = m;
-            spec.n = n;
-            spec.k = k;
-            spec.trans_a = (trans & 1) != 0;
-            spec.trans_b = (trans & 2) != 0;
-            const auto a = random_vec(rng, m * k);
-            const auto b = random_vec(rng, k * n);
-            const auto bias = random_vec(rng, m + n);
-            spec.a = a.data();
-            spec.lda = spec.trans_a ? m : k;
-            spec.b = b.data();
-            spec.ldb = spec.trans_b ? k : n;
-            spec.ldc = n;
-            if (init == 0) spec.bias_row = bias.data();
-            else if (init == 1) spec.bias_col = bias.data() + m;
-            else if (init == 2) spec.accumulate = true;
-            const auto c0 = random_vec(rng, m * n);  // accumulate seed
+          for (const Rows rows : {Rows::kDirect, Rows::kTiled,
+                                  Rows::kPastRowBlock, Rows::kDirectWide}) {
+            for (const bool strided : {false, true}) {
+              const auto cfg = small_blocks ? tiled_cfg(mr, nr, 16, 24, 32)
+                                            : tiled_cfg(mr, nr, 64, 256, 512);
+              const bool direct =
+                  rows == Rows::kDirect || rows == Rows::kDirectWide;
+              const std::size_t m = direct ? draw(1, mr - 1)
+                                    : rows == Rows::kTiled ? draw(mr, 40)
+                                                           : cfg.mc + 1;
+              const std::size_t n =
+                  rows == Rows::kDirectWide ? draw(64, 150) : draw(1, 60);
+              const std::size_t k = draw(1, 80);
+              const std::size_t pad_a = strided ? draw(1, 5) : 0;
+              const std::size_t pad_b = strided ? draw(1, 5) : 0;
+              const std::size_t pad_c = strided ? draw(1, 5) : 0;
+              kernels::GemmSpec spec;
+              spec.m = m;
+              spec.n = n;
+              spec.k = k;
+              spec.trans_a = (trans & 1) != 0;
+              spec.trans_b = (trans & 2) != 0;
+              spec.lda = (spec.trans_a ? m : k) + pad_a;
+              spec.ldb = (spec.trans_b ? k : n) + pad_b;
+              spec.ldc = n + pad_c;
+              const auto a =
+                  random_vec(rng, (spec.trans_a ? k : m) * spec.lda);
+              const auto b =
+                  random_vec(rng, (spec.trans_b ? n : k) * spec.ldb);
+              const auto bias = random_vec(rng, m + n);
+              spec.a = a.data();
+              spec.b = b.data();
+              if (init == 0) spec.bias_row = bias.data();
+              else if (init == 1) spec.bias_col = bias.data() + m;
+              else if (init == 2) spec.accumulate = true;
+              // Accumulate seed, padding and guard row in one buffer.
+              const auto c0 = random_vec(rng, (m + 1) * spec.ldc);
 
-            const auto cfg = small_blocks ? tiled_cfg(mr, nr, 16, 24, 32)
-                                          : tiled_cfg(mr, nr, 64, 256, 512);
-            std::vector<float> tiled = c0, scalar = c0;
-            spec.c = tiled.data();
-            kernels::gemm(spec, cfg, scratch);
-            spec.c = scalar.data();
-            kernels::gemm(spec, kernels::scalar_config(), scratch);
-            EXPECT_TRUE(bitwise_equal(tiled, scalar))
-                << "m=" << m << " n=" << n << " k=" << k
-                << " trans_a=" << spec.trans_a << " trans_b=" << spec.trans_b
-                << " init=" << init << " cfg=" << cfg.summary();
+              std::vector<float> tiled = c0, scalar = c0;
+              spec.c = tiled.data();
+              kernels::gemm(spec, cfg, scratch);
+              spec.c = scalar.data();
+              kernels::gemm(spec, kernels::scalar_config(), scratch);
+              EXPECT_TRUE(bitwise_equal(tiled, scalar))
+                  << "m=" << m << " n=" << n << " k=" << k
+                  << " lda=" << spec.lda << " ldb=" << spec.ldb
+                  << " ldc=" << spec.ldc << " trans_a=" << spec.trans_a
+                  << " trans_b=" << spec.trans_b << " init=" << init
+                  << " cfg=" << cfg.summary();
+            }
           }
         }
       }
@@ -367,6 +394,47 @@ TEST(ConvLowering, BatchedForwardBitwiseEqualsPerSample) {
                            single.data());
     for (std::size_t o = 0; o < out; ++o) {
       EXPECT_EQ(batched[i * out + o], single[o]) << "sample " << i;
+    }
+  }
+}
+
+/// The batched-gradient guarantee: one batch-N backward (one weight-
+/// gradient GEMM over all N*l_out positions, one input-gradient GEMM for
+/// the batch) equals N single-sample backward calls bit for bit, with gw
+/// and gb accumulated across the calls in sample order from the same
+/// nonzero start.
+TEST(ConvLowering, BatchedBackwardBitwiseEqualsPerSample) {
+  util::Rng rng(31);
+  for (std::size_t n : {1u, 2u, 13u, 16u}) {
+    for (bool same : {true, false}) {
+      const auto c = random_conv_case(rng, n, 3, same);
+      const std::size_t per_x = c.shape.in_ch * c.shape.l_in;
+      const std::size_t per_g = c.shape.out_ch * c.shape.l_out();
+      const auto grad_out = random_vec(rng, n * per_g);
+      const auto gw0 = random_vec(rng, c.w.size());
+      const auto gb0 = random_vec(rng, c.shape.out_ch);
+
+      std::vector<float> gx_batch(n * per_x, 0.0f), gw_batch = gw0,
+          gb_batch = gb0;
+      kernels::conv1d_backward(c.shape, c.x.data(), c.w.data(),
+                               grad_out.data(), gx_batch.data(),
+                               gw_batch.data(), gb_batch.data());
+
+      kernels::Conv1DShape one = c.shape;
+      one.n = 1;
+      std::vector<float> gx_single(n * per_x, 0.0f), gw_single = gw0,
+          gb_single = gb0;
+      for (std::size_t i = 0; i < n; ++i) {
+        kernels::conv1d_backward(one, c.x.data() + i * per_x, c.w.data(),
+                                 grad_out.data() + i * per_g,
+                                 gx_single.data() + i * per_x,
+                                 gw_single.data(), gb_single.data());
+      }
+      const std::string tag = "n=" + std::to_string(n) +
+                              (same ? " same" : " valid");
+      EXPECT_TRUE(bitwise_equal(gw_batch, gw_single)) << tag << " gw";
+      EXPECT_TRUE(bitwise_equal(gb_batch, gb_single)) << tag << " gb";
+      EXPECT_TRUE(bitwise_equal(gx_batch, gx_single)) << tag << " gx";
     }
   }
 }

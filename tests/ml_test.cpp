@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ml/activations.hpp"
 #include "ml/conv1d.hpp"
@@ -771,6 +773,52 @@ TEST(DifferentiableClassifier, LogitsBatchRowsMatchPerRowLogitsBitwise) {
         }
       }
     }
+  }
+}
+
+// infer and forward share one rule, x > 0 ? x : 0, on every float: NaN and
+// -0 give +0, and backward passes the gradient exactly where x > 0.
+TEST(ReLU, InferEqualsForwardOnSpecialValues) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> vals = {nan,     -nan,   0.0f,          -0.0f,
+                                   inf,     -inf,   denorm,        -denorm,
+                                   1e-40f, -1e-40f, 1.5f,          -2.5f};
+  const Tensor x = Tensor::from_values({1, 1, vals.size()}, vals);
+  ReLU r;
+  const Tensor y = r.forward(x, false);
+  EXPECT_TRUE(same_bits(r.infer(x), y));
+  const Tensor g =
+      r.backward(Tensor::from_values({1, 1, vals.size()},
+                                     std::vector<float>(vals.size(), 3.0f)));
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    const bool pass = vals[i] > 0.0f;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+              std::bit_cast<std::uint32_t>(pass ? vals[i] : 0.0f))
+        << "value " << i;
+    EXPECT_EQ(g[i], pass ? 3.0f : 0.0f) << "value " << i;
+  }
+}
+
+// A NaN feature takes the same route through the per-row and the batched
+// path, so a row's logits do not depend on which one served it.
+TEST(ModelClassifier, LogitsBatchEqualsLogitsOnNaNRow) {
+  Rng drng(1);
+  Model m = make_paper_cnn(23, 2, drng);
+  Rng wrng(21);
+  m.init(wrng);
+  ModelClassifier clf(m, 23, 2);
+  Rng rng(22);
+  std::vector<std::vector<double>> xs(3, std::vector<double>(23));
+  for (auto& x : xs) {
+    for (auto& v : x) v = rng.uniform(0.0, 1.0);
+  }
+  xs[1][7] = std::numeric_limits<double>::quiet_NaN();
+  const auto z = clf.logits_batch(xs);
+  ASSERT_EQ(z.size(), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_TRUE(same_bits(z[i], clf.logits(xs[i]))) << "row " << i;
   }
 }
 

@@ -7,6 +7,8 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -412,6 +414,53 @@ TEST(Server, WrongDimensionRejectedAsInvalid) {
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(server.stats().rejected_invalid, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+// A NaN or infinite feature is refused at dequeue like a wrong width; the
+// finite rows of the same batch are served exactly as they would be alone.
+TEST(Server, NonFiniteFeaturesRejectedFiniteRowsServedBitwise) {
+  const auto dir = write_checkpoint("nonfinite", 71);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 8;
+  serve::DetectionServer server(reg, cfg);
+
+  Rng rng(73);
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 6; ++i) rows.push_back(synthetic_row(rng));
+  rows[1][4] = std::numeric_limits<double>::quiet_NaN();
+  rows[3][0] = std::numeric_limits<double>::infinity();
+  rows[4][kDim - 1] = -std::numeric_limits<double>::infinity();
+  const std::vector<bool> finite = {true, false, true, false, false, true};
+
+  server.pause();  // queue all six so one batch carries them
+  std::vector<std::future<util::Result<serve::Verdict>>> futures;
+  for (const auto& row : rows) futures.push_back(server.submit(row));
+  server.resume();
+
+  auto loaded = serve::Checkpoint::load(dir, "ref");
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  auto model = loaded.value()->clone_model();
+  ml::ModelClassifier offline(model, kDim, 2);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    auto r = futures[i].get();
+    if (!finite[i]) {
+      ASSERT_FALSE(r.is_ok()) << "row " << i;
+      EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument) << "row " << i;
+      continue;
+    }
+    ASSERT_TRUE(r.is_ok()) << "row " << i << ": " << r.status().to_string();
+    const auto scaled = loaded.value()->scaler()->transform(to_fv(rows[i]));
+    const std::vector<double> x(scaled.begin(), scaled.end());
+    EXPECT_EQ(r.value().logits, reference_logits(dir, rows[i])) << "row " << i;
+    EXPECT_EQ(r.value().probabilities, offline.probabilities(x)) << "row " << i;
+    EXPECT_EQ(r.value().predicted, offline.predict(x)) << "row " << i;
+    EXPECT_EQ(r.value().batch_size, 3u) << "row " << i;
+  }
+  EXPECT_EQ(server.stats().rejected_invalid, 3u);
   std::filesystem::remove_all(dir);
 }
 

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -238,6 +239,29 @@ TEST(Transport, InvalidFeatureWidthIsRejectedNotRetried) {
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(client.stats().retries, 0u);  // hard errors don't burn retries
+}
+
+TEST(Transport, NonFiniteFeatureInV2FrameGetsErrorFrame) {
+  Rig rig;
+  net::Socket sock = raw_connect(rig.transport->port());
+  Rng rng(109);
+  auto row = synthetic_row(rng);
+  row[3] = std::numeric_limits<double>::quiet_NaN();
+  net::Frame f;
+  f.type = net::FrameType::kDetectRequest;
+  f.request_id = 31;
+  f.payload = serve::encode_detect_request_payload(row, /*schema_digest=*/0);
+  send_all(sock, net::encode_frame(f));
+
+  std::vector<std::uint8_t> buf;
+  auto frame = read_frame(sock, buf);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->request_id, 31u);
+  auto verdict = serve::decode_detect_response_payload(
+      {frame->payload.data(), frame->payload.size()});
+  ASSERT_FALSE(verdict.is_ok());
+  EXPECT_EQ(verdict.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(rig.server->stats().rejected_invalid, 1u);
 }
 
 // --- Deadlines and retries -------------------------------------------------
