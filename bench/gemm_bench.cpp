@@ -2,15 +2,17 @@
 //
 // Measures the tiled kernels (kernels::conv1d_* / dense_* over
 // kernels::gemm) against the retained seed-era loop nests
-// (kernels/reference.hpp) on the paper CNN's layer shapes — the exact
-// forward/backward math one training step and one batched Model::infer
-// spend their time in. Three timed paths per shape:
+// (kernels/reference.hpp, in the test-support library) on the paper CNN's
+// layer shapes — the exact forward/backward math one training step and
+// one batched Model::infer spend their time in. Three timed paths per
+// shape:
 //
 //   - reference: the seed loops — the pre-kernel baseline;
-//   - tuned: the kernel layer under the config a quick autotune pass just
-//     picked for this machine (persisted to gemm_tuned.cfg);
-//   - scalar: the kernel layer forced onto the portable scalar fallback,
-//     isolating how much of the win is tiling vs im2col lowering.
+//   - tuned: the kernel layer on its one compiled register tile (the JSON
+//     keeps the `tuned` key names that bench/baselines and
+//     tools/bench_check read);
+//   - scalar: the kernel layer forced onto the scalar chain, isolating
+//     how much of the win is tiling vs im2col lowering.
 //
 // The shapes come at serving batch 16 (forward, full backward, and the
 // input gradient alone) and at batch 1, the per-sample attack step
@@ -44,7 +46,6 @@
 #include "kernels/config.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/reference.hpp"
-#include "kernels/tune.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -260,28 +261,9 @@ int main(int argc, char** argv) {
   std::printf("gemm bench: paper CNN layer shapes, batch %zu%s\n", batch,
               smoke ? " [smoke]" : "");
 
-  // Autotune this machine first: microkernel sweep on the batched-inference
-  // GEMM shapes (cache-block grid too in full mode), then persist and
-  // install the winner so the "tuned" rows below run under it.
-  kernels::TuneOptions topts;
-  topts.quick = smoke;
-  topts.reps = smoke ? 2 : 5;
-  const auto report = kernels::tune(topts);
-  std::printf("autotune: best [%s] %.3f ms, scalar %.3f ms over %zu configs\n",
-              report.best.summary().c_str(), report.best_ms, report.scalar_ms,
-              report.candidates.size());
-  if (auto st = kernels::save_config(report.best, "gemm_tuned.cfg");
-      !st.is_ok()) {
-    std::fprintf(stderr, "gemm bench: cannot persist tuned config: %s\n",
-                 st.to_string().c_str());
-  } else {
-    std::cout << "wrote gemm_tuned.cfg\n";
-  }
-  if (auto st = kernels::set_active_config(report.best); !st.is_ok()) {
-    std::fprintf(stderr, "gemm bench: tuned config rejected: %s\n",
-                 st.to_string().c_str());
-    return 1;
-  }
+  const auto tiled = kernels::default_config();
+  const auto scalar = kernels::scalar_config();
+  std::printf("kernel: %s\n", tiled.summary().c_str());
 
   auto cases = paper_cnn_cases(batch);
   util::Rng rng(20260809);
@@ -317,7 +299,6 @@ int main(int argc, char** argv) {
   double infer_ref_ms = 0.0, infer_tuned_ms = 0.0;
   double total_ref_ms = 0.0, total_tuned_ms = 0.0;
 
-  const auto scalar = kernels::scalar_config();
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& c = cases[i];
     auto& buf = buffers[i];
@@ -330,10 +311,9 @@ int main(int argc, char** argv) {
     const int case_iters = iters * static_cast<int>(batch / row.batch);
     row.ref_ms = best_of(reps, case_iters, c, buf, /*reference=*/true);
     row.tuned_ms = best_of(reps, case_iters, c, buf, /*reference=*/false);
-    // Both configs were validated on install above — refusal is impossible.
     (void)kernels::set_active_config(scalar);
     row.scalar_ms = best_of(reps, case_iters, c, buf, /*reference=*/false);
-    (void)kernels::set_active_config(report.best);
+    (void)kernels::set_active_config(tiled);
     rows.push_back(row);
     if (row.batch == batch && !c.input_only) {
       total_ref_ms += row.ref_ms;
@@ -343,7 +323,7 @@ int main(int argc, char** argv) {
       infer_ref_ms += row.ref_ms;
       infer_tuned_ms += row.tuned_ms;
     }
-    std::printf("%-13s ref %8.3f ms  tuned %8.3f ms (%5.2fx)  scalar %8.3f "
+    std::printf("%-13s ref %8.3f ms  tiled %8.3f ms (%5.2fx)  scalar %8.3f "
                 "ms (%5.2fx)\n",
                 row.label.c_str(), row.ref_ms, row.tuned_ms, row.speedup(),
                 row.scalar_ms,
@@ -354,7 +334,7 @@ int main(int argc, char** argv) {
       infer_tuned_ms > 0.0 ? infer_ref_ms / infer_tuned_ms : 0.0;
   const double train_speedup =
       total_tuned_ms > 0.0 ? total_ref_ms / total_tuned_ms : 0.0;
-  std::printf("batched-inference speedup (tuned vs seed): %.2fx\n",
+  std::printf("batched-inference speedup (tiled vs seed): %.2fx\n",
               tuned_speedup);
   std::printf("batch-%zu speedup (fwd+bwd):                %.2fx\n", batch,
               train_speedup);
@@ -364,9 +344,7 @@ int main(int argc, char** argv) {
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"batch\": " << batch << ",\n"
       << "  \"ulp_ok\": 1,\n"
-      << "  \"kernel_config\": \"" << report.best.summary() << "\",\n"
-      << "  \"autotune_scalar_ms\": " << report.scalar_ms << ",\n"
-      << "  \"autotune_best_ms\": " << report.best_ms << ",\n"
+      << "  \"kernel_config\": \"" << tiled.summary() << "\",\n"
       << "  \"shapes\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];

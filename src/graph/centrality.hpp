@@ -30,8 +30,4 @@ std::vector<double> closeness_centrality(const DiGraph& g);
 /// Delegates to the single-sweep core (graph/sweep.hpp).
 std::vector<double> betweenness_centrality(const DiGraph& g);
 
-/// Reference O(V^3)-ish betweenness for cross-checking Brandes in tests:
-/// enumerates all shortest paths by dynamic programming over BFS DAGs.
-std::vector<double> betweenness_centrality_reference(const DiGraph& g);
-
 }  // namespace gea::graph

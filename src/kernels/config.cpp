@@ -1,187 +1,34 @@
 #include "kernels/config.hpp"
 
-#include <cstdlib>
-#include <fstream>
-#include <mutex>
+#include <atomic>
 #include <sstream>
-
-#include "util/log.hpp"
 
 namespace gea::kernels {
 
-const char* source_name(KernelConfig::Source source) {
-  switch (source) {
-    case KernelConfig::Source::kFallback: return "fallback";
-    case KernelConfig::Source::kDefault: return "default";
-    case KernelConfig::Source::kTuned: return "tuned";
-  }
-  return "unknown";
-}
+namespace {
+
+std::atomic<bool> g_scalar{false};
+
+}  // namespace
 
 std::string KernelConfig::summary() const {
+  if (scalar) return "scalar";
   std::ostringstream os;
-  if (scalar()) {
-    os << "scalar source=" << source_name(source);
-  } else {
-    os << "mr=" << mr << " nr=" << nr << " mc=" << mc << " kc=" << kc
-       << " nc=" << nc << " source=" << source_name(source);
-  }
+  os << "mr=" << kMr << " nr=" << kNr << " mc=" << kMc << " kc=" << kKc
+     << " nc=" << kNc;
   return os.str();
-}
-
-const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
-microkernel_variants() {
-  // Must match the dispatch table in gemm.cpp. Wide-nr variants favor the
-  // batched conv shapes (long rows); tall-mr variants favor dense layers
-  // with a large batch.
-  static const std::vector<std::pair<std::uint32_t, std::uint32_t>> kVariants =
-      {{2, 4}, {4, 4}, {2, 8}, {4, 8}, {6, 8}, {8, 8}, {4, 16}, {8, 4}};
-  return kVariants;
-}
-
-bool microkernel_supported(std::uint32_t mr, std::uint32_t nr) {
-  if (mr == 0 && nr == 0) return true;
-  for (const auto& [vm, vn] : microkernel_variants()) {
-    if (vm == mr && vn == nr) return true;
-  }
-  return false;
 }
 
 KernelConfig default_config() { return KernelConfig{}; }
 
-KernelConfig scalar_config() {
-  KernelConfig cfg;
-  cfg.mr = 0;
-  cfg.nr = 0;
-  cfg.source = KernelConfig::Source::kFallback;
-  return cfg;
-}
-
-util::Status validate(const KernelConfig& cfg) {
-  if (!microkernel_supported(cfg.mr, cfg.nr)) {
-    return util::Status::error(
-        util::ErrorCode::kInvalidArgument,
-        "no compiled microkernel for mr=" + std::to_string(cfg.mr) +
-            " nr=" + std::to_string(cfg.nr));
-  }
-  if (cfg.scalar()) return util::Status::ok();
-  constexpr std::uint32_t kMaxBlock = 1u << 20;
-  if (cfg.mc == 0 || cfg.kc == 0 || cfg.nc == 0 || cfg.mc > kMaxBlock ||
-      cfg.kc > kMaxBlock || cfg.nc > kMaxBlock) {
-    return util::Status::error(util::ErrorCode::kInvalidArgument,
-                               "block sizes must be in [1, 2^20], got " +
-                                   cfg.summary());
-  }
-  return util::Status::ok();
-}
-
-util::Status save_config(const KernelConfig& cfg, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return util::Status::error(util::ErrorCode::kNotFound,
-                               "cannot open for write: " + path);
-  }
-  out << "gea_kernel_config v1\n"
-      << "mr " << cfg.mr << "\n"
-      << "nr " << cfg.nr << "\n"
-      << "mc " << cfg.mc << "\n"
-      << "kc " << cfg.kc << "\n"
-      << "nc " << cfg.nc << "\n"
-      << "source " << source_name(cfg.source) << "\n";
-  out.flush();
-  if (!out) {
-    return util::Status::error(util::ErrorCode::kInternal,
-                               "short write: " + path);
-  }
-  return util::Status::ok();
-}
-
-util::Result<KernelConfig> load_config(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return util::Status::error(util::ErrorCode::kNotFound,
-                               "cannot open kernel config: " + path);
-  }
-  std::string header;
-  std::getline(in, header);
-  if (header != "gea_kernel_config v1") {
-    return util::Status::error(util::ErrorCode::kParseError,
-                               "bad kernel config header in " + path);
-  }
-  KernelConfig cfg;
-  cfg.source = KernelConfig::Source::kTuned;
-  std::string key;
-  while (in >> key) {
-    if (key == "source") {
-      std::string value;
-      if (!(in >> value)) break;
-      if (value == "fallback") cfg.source = KernelConfig::Source::kFallback;
-      else if (value == "default") cfg.source = KernelConfig::Source::kDefault;
-      else cfg.source = KernelConfig::Source::kTuned;
-      continue;
-    }
-    std::uint32_t value = 0;
-    if (!(in >> value)) {
-      return util::Status::error(util::ErrorCode::kParseError,
-                                 "bad value for '" + key + "' in " + path);
-    }
-    if (key == "mr") cfg.mr = value;
-    else if (key == "nr") cfg.nr = value;
-    else if (key == "mc") cfg.mc = value;
-    else if (key == "kc") cfg.kc = value;
-    else if (key == "nc") cfg.nc = value;
-    else {
-      return util::Status::error(util::ErrorCode::kParseError,
-                                 "unknown key '" + key + "' in " + path);
-    }
-  }
-  if (auto st = validate(cfg); !st.is_ok()) {
-    return st.with_context("loading " + path);
-  }
-  return cfg;
-}
-
-namespace {
-
-struct ActiveConfig {
-  std::mutex mu;
-  KernelConfig cfg = default_config();
-
-  ActiveConfig() {
-    // One-shot environment hook: a tuned config persisted by gemm_tune is
-    // picked up by any process (trainer, server, benches) without call-site
-    // changes. Failure to load is loud but non-fatal — the default stays.
-    if (const char* path = std::getenv("GEA_KERNEL_CONFIG")) {
-      auto loaded = load_config(path);
-      if (loaded.is_ok()) {
-        cfg = loaded.value();
-        util::log_info("kernels: loaded config from GEA_KERNEL_CONFIG");
-      } else {
-        util::log_warn("kernels: GEA_KERNEL_CONFIG ignored: " +
-                       loaded.status().to_string());
-      }
-    }
-  }
-
-  static ActiveConfig& get() {
-    static ActiveConfig a;
-    return a;
-  }
-};
-
-}  // namespace
+KernelConfig scalar_config() { return KernelConfig{.scalar = true}; }
 
 KernelConfig active_config() {
-  auto& a = ActiveConfig::get();
-  std::lock_guard<std::mutex> lock(a.mu);
-  return a.cfg;
+  return KernelConfig{.scalar = g_scalar.load()};
 }
 
 util::Status set_active_config(const KernelConfig& cfg) {
-  if (auto st = validate(cfg); !st.is_ok()) return st;
-  auto& a = ActiveConfig::get();
-  std::lock_guard<std::mutex> lock(a.mu);
-  a.cfg = cfg;
+  g_scalar.store(cfg.scalar);
   return util::Status::ok();
 }
 

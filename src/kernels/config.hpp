@@ -1,79 +1,50 @@
-// Tiling configuration for the dense-math kernel layer.
+// Path selection for the dense-math kernel layer.
 //
-// A KernelConfig names one point in the GEMM tuning space: the register
-// tile (mr x nr microkernel variant, compiled ahead of time) and the cache
-// block sizes (mc/kc/nc). The process holds one *active* config that every
-// kernels::gemm call reads; tools/gemm_tune searches the space on the host,
-// persists the winner to a small text file, and anything (trainer, server,
-// benches) picks it up at runtime either explicitly via load_config +
-// set_active_config or implicitly through the GEA_KERNEL_CONFIG environment
-// variable. An unsupported or corrupt config never breaks correctness: the
-// layer degrades to a portable scalar fallback (mr = nr = 0) that runs the
-// same k-ordered accumulation without tiling.
+// kernels::gemm compiles exactly one register tile (kMr x kNr) over fixed
+// cache blocks (kMc rows of A, kKc of the shared depth, kNc columns of B
+// per block). A KernelConfig chooses between that tiled path and the
+// portable scalar chain, which stays as the oracle tests compare against
+// and as gemm_bench's scalar column. Every path runs the same k-ordered
+// accumulation chains (kernels/gemm.hpp), so the choice changes speed,
+// never a bit of any result. The process holds one active choice that
+// every kernels::gemm call reads with one atomic load.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "util/status.hpp"
 
 namespace gea::kernels {
 
+/// The compiled register tile: kMr rows of C by kNr columns.
+inline constexpr std::size_t kMr = 4;
+inline constexpr std::size_t kNr = 8;
+/// The compiled cache blocks: rows of A, shared depth, and columns of B
+/// packed per block. Clamped to the problem size at run time.
+inline constexpr std::size_t kMc = 64;
+inline constexpr std::size_t kKc = 256;
+inline constexpr std::size_t kNc = 512;
+
 struct KernelConfig {
-  /// Where the active config came from — reported by benches so speedup
-  /// trajectories are interpretable across machines.
-  enum class Source : std::uint8_t { kFallback, kDefault, kTuned };
+  /// Run the scalar chain instead of the compiled tile.
+  bool scalar = false;
 
-  /// Register tile (microkernel) size. mr == 0 or nr == 0 selects the
-  /// portable scalar fallback path.
-  std::uint32_t mr = 4;
-  std::uint32_t nr = 8;
-  /// Cache block sizes: rows of A, shared depth, and columns of B packed
-  /// per block. Clamped to the problem size at run time.
-  std::uint32_t mc = 64;
-  std::uint32_t kc = 256;
-  std::uint32_t nc = 512;
-  Source source = Source::kDefault;
-
-  bool scalar() const { return mr == 0 || nr == 0; }
-  bool tuned() const { return source == Source::kTuned; }
-
-  /// One-line rendering, e.g. "mr=4 nr=8 mc=64 kc=256 nc=512 source=tuned".
+  /// "mr=4 nr=8 mc=64 kc=256 nc=512" for the compiled tile, "scalar"
+  /// for the scalar chain.
   std::string summary() const;
 };
 
-const char* source_name(KernelConfig::Source source);
-
-/// Compiled microkernel variants as (mr, nr) pairs — the register-tile
-/// search space the tuner sweeps. The scalar fallback (0, 0) is not listed.
-const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
-microkernel_variants();
-
-/// True when (mr, nr) is a compiled variant or the scalar pair (0, 0).
-bool microkernel_supported(std::uint32_t mr, std::uint32_t nr);
-
-/// Hand-picked portable default (used when nothing was tuned).
+/// The compiled tile.
 KernelConfig default_config();
-/// The scalar fallback config.
+/// The scalar chain.
 KernelConfig scalar_config();
 
-/// Reject zero block sizes, absurd values, and unsupported microkernels.
-util::Status validate(const KernelConfig& cfg);
-
-/// Persist/load a config as a small self-identifying text file.
-util::Status save_config(const KernelConfig& cfg, const std::string& path);
-util::Result<KernelConfig> load_config(const std::string& path);
-
-/// Process-wide active config. The first read consults GEA_KERNEL_CONFIG
-/// (a path): if set and loadable, the tuned config is installed; otherwise
-/// the default stays. Reads copy a small POD under a mutex — cheap next to
-/// any gemm call.
+/// The process-wide active choice (the compiled tile unless set).
 KernelConfig active_config();
 
-/// Install `cfg` as the active config. Invalid configs are refused and the
-/// previous config stays active.
+/// Install `cfg` process-wide. Every KernelConfig names a compiled path,
+/// so this never fails; the Status is kept for existing callers.
 util::Status set_active_config(const KernelConfig& cfg);
 
 /// summary() of the active config — what benches embed in their JSON.

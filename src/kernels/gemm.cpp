@@ -35,7 +35,8 @@ void init_c(const GemmSpec& s) {
   }
 }
 
-/// Portable fallback: the same k-ordered chains, no packing, no tiling.
+/// The scalar chain (the tests' oracle): the same k-ordered chains, no
+/// packing, no tiling.
 void scalar_gemm(const GemmSpec& s) {
   init_c(s);
   for (std::size_t i = 0; i < s.m; ++i) {
@@ -139,8 +140,8 @@ void dot_block(std::size_t k, const float* ai, std::size_t a_step,
 }
 
 /// Unpacked path for products with fewer rows than the register tile
-/// (m < mr: dense layers at batch 1-3). Packing all of B to fill one live
-/// row of an mr-tall tile costs more than the product itself, so each row
+/// (m < kMr: dense layers at batch 1-3). Packing all of B to fill one live
+/// row of a kMr-tall tile costs more than the product itself, so each row
 /// of C reads A and B in place. The chains are the same as on every other
 /// path: C[i][j] starts from init_c and takes its k terms in ascending
 /// order. Only independent chains run side by side: a block of 32 columns
@@ -201,19 +202,19 @@ void direct_gemm(const GemmSpec& s) {
   }
 }
 
-/// Pack the (kb x nb) block of B at (p0, j0) into NR-wide column panels,
-/// k-major: panel q, offset kk*NR + t holds B[p0 + kk][j0 + q*NR + t].
+/// Pack the (kb x nb) block of B at (p0, j0) into kNr-wide column panels,
+/// k-major: panel q, offset kk*kNr + t holds B[p0 + kk][j0 + q*kNr + t].
 void pack_b_block(const GemmSpec& s, std::size_t p0, std::size_t kb,
-                  std::size_t j0, std::size_t nb, std::size_t nr, float* bp) {
-  const std::size_t panels = (nb + nr - 1) / nr;
+                  std::size_t j0, std::size_t nb, float* bp) {
+  const std::size_t panels = (nb + kNr - 1) / kNr;
   for (std::size_t q = 0; q < panels; ++q) {
-    float* panel = bp + q * nr * kb;
-    const std::size_t cols = std::min(nr, nb - q * nr);
+    float* panel = bp + q * kNr * kb;
+    const std::size_t cols = std::min(kNr, nb - q * kNr);
     for (std::size_t kk = 0; kk < kb; ++kk) {
-      float* dst = panel + kk * nr;
+      float* dst = panel + kk * kNr;
       std::size_t t = 0;
-      for (; t < cols; ++t) dst[t] = load_b(s, p0 + kk, j0 + q * nr + t);
-      for (; t < nr; ++t) dst[t] = 0.0f;
+      for (; t < cols; ++t) dst[t] = load_b(s, p0 + kk, j0 + q * kNr + t);
+      for (; t < kNr; ++t) dst[t] = 0.0f;
     }
   }
 }
@@ -279,57 +280,31 @@ void micro_tile(std::size_t kb, const float* a, std::size_t a_row,
   }
 }
 
-using MicroFn = void (*)(std::size_t, const float*, std::size_t, std::size_t,
-                         const float*, float*, std::size_t, std::size_t,
-                         std::size_t);
-
-struct Variant {
-  std::uint32_t mr, nr;
-  MicroFn fn;
-};
-
-/// Must stay in sync with microkernel_variants() in config.cpp.
-constexpr Variant kVariantTable[] = {
-    {2, 4, micro_tile<2, 4>},   {4, 4, micro_tile<4, 4>},
-    {2, 8, micro_tile<2, 8>},   {4, 8, micro_tile<4, 8>},
-    {6, 8, micro_tile<6, 8>},   {8, 8, micro_tile<8, 8>},
-    {4, 16, micro_tile<4, 16>}, {8, 4, micro_tile<8, 4>},
-};
-
-MicroFn find_variant(std::uint32_t mr, std::uint32_t nr) {
-  for (const auto& v : kVariantTable) {
-    if (v.mr == mr && v.nr == nr) return v.fn;
-  }
-  return nullptr;
-}
-
-void tiled_gemm(const GemmSpec& s, const KernelConfig& cfg,
-                KernelScratch& scratch, MicroFn micro) {
-  const std::size_t mr = cfg.mr, nr = cfg.nr;
-  const std::size_t mc = cfg.mc, kc = cfg.kc, nc = cfg.nc;
+void tiled_gemm(const GemmSpec& s, KernelScratch& scratch) {
   // A is read in place: A[i][p] is a[i * a_row + p * a_k].
   const std::size_t a_row = s.trans_a ? 1 : s.lda;
   const std::size_t a_k = s.trans_a ? s.lda : 1;
   init_c(s);
-  for (std::size_t j0 = 0; j0 < s.n; j0 += nc) {
-    const std::size_t nb = std::min(nc, s.n - j0);
-    const std::size_t npanels = (nb + nr - 1) / nr;
+  for (std::size_t j0 = 0; j0 < s.n; j0 += kNc) {
+    const std::size_t nb = std::min(kNc, s.n - j0);
+    const std::size_t npanels = (nb + kNr - 1) / kNr;
     // k blocks ascend inside the column block, so each chain consumes the
     // whole shared dimension in order before the next column block starts.
-    for (std::size_t p0 = 0; p0 < s.k; p0 += kc) {
-      const std::size_t kb = std::min(kc, s.k - p0);
-      float* bp = scratch.pack_b(npanels * nr * kb);
-      pack_b_block(s, p0, kb, j0, nb, nr, bp);
-      // Row blocks of mc share each packed B panel while it is hot.
-      for (std::size_t i0 = 0; i0 < s.m; i0 += mc) {
-        const std::size_t i_end = std::min(s.m, i0 + mc);
+    for (std::size_t p0 = 0; p0 < s.k; p0 += kKc) {
+      const std::size_t kb = std::min(kKc, s.k - p0);
+      float* bp = scratch.pack_b(npanels * kNr * kb);
+      pack_b_block(s, p0, kb, j0, nb, bp);
+      // Row blocks of kMc share each packed B panel while it is hot.
+      for (std::size_t i0 = 0; i0 < s.m; i0 += kMc) {
+        const std::size_t i_end = std::min(s.m, i0 + kMc);
         for (std::size_t jq = 0; jq < npanels; ++jq) {
-          const std::size_t j = j0 + jq * nr;
-          const std::size_t nv = std::min(nr, s.n - j);
-          const float* bpanel = bp + jq * nr * kb;
-          for (std::size_t i = i0; i < i_end; i += mr) {
-            micro(kb, s.a + i * a_row + p0 * a_k, a_row, a_k, bpanel,
-                  s.c + i * s.ldc + j, s.ldc, std::min(mr, i_end - i), nv);
+          const std::size_t j = j0 + jq * kNr;
+          const std::size_t nv = std::min(kNr, s.n - j);
+          const float* bpanel = bp + jq * kNr * kb;
+          for (std::size_t i = i0; i < i_end; i += kMr) {
+            micro_tile<kMr, kNr>(kb, s.a + i * a_row + p0 * a_k, a_row, a_k,
+                                 bpanel, s.c + i * s.ldc + j, s.ldc,
+                                 std::min(kMr, i_end - i), nv);
           }
         }
       }
@@ -340,16 +315,12 @@ void tiled_gemm(const GemmSpec& s, const KernelConfig& cfg,
 /// Registry handles for the kernel-layer metrics, resolved once.
 struct KernelMetrics {
   obs::Counter& calls;
-  obs::Counter& tuned;
-  obs::Counter& fallback;
   obs::Histogram& gemm_ms;
 
   static KernelMetrics& get() {
     static KernelMetrics m = [] {
       auto& reg = obs::MetricsRegistry::global();
       return KernelMetrics{reg.counter("kernels.gemm_calls"),
-                           reg.counter("kernels.tuned"),
-                           reg.counter("kernels.fallback"),
                            reg.histogram("kernels.gemm_ms")};
     }();
     return m;
@@ -361,13 +332,12 @@ struct KernelMetrics {
 void gemm(const GemmSpec& spec, const KernelConfig& cfg,
           KernelScratch& scratch) {
   if (spec.m == 0 || spec.n == 0) return;
-  MicroFn micro = cfg.scalar() ? nullptr : find_variant(cfg.mr, cfg.nr);
-  if (micro == nullptr) {
+  if (cfg.scalar) {
     scalar_gemm(spec);
-  } else if (spec.m < cfg.mr) {
+  } else if (spec.m < kMr) {
     direct_gemm(spec);
   } else {
-    tiled_gemm(spec, cfg, scratch, micro);
+    tiled_gemm(spec, scratch);
   }
 }
 
@@ -386,11 +356,6 @@ void gemm(const GemmSpec& spec) {
           .count();
   metrics.calls.inc();
   metrics.gemm_ms.observe(ms);
-  if (cfg.scalar()) {
-    metrics.fallback.inc();
-  } else if (cfg.tuned()) {
-    metrics.tuned.inc();
-  }
 }
 
 }  // namespace gea::kernels

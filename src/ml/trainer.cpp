@@ -190,8 +190,8 @@ TrainStats train(Model& model, const LabeledData& data, const TrainConfig& cfg) 
   if (data.rows.size() != data.labels.size()) {
     throw std::invalid_argument("train: label count mismatch");
   }
-  // Name the dense-math config this run trains on, so throughput numbers in
-  // logs are attributable to the kernel layer (tuned vs default vs scalar).
+  // Name the dense-math path this run trains on, so throughput numbers in
+  // logs are attributable to the kernel layer (compiled tile vs scalar).
   util::log_info("train: kernels [", kernels::active_config_summary(), "]");
   if (cfg.threads != 1) {
     if (model.clonable()) return train_chunked(model, data, cfg);

@@ -72,6 +72,12 @@ DetectionServer::resolve_deadline(double deadline_ms) const {
 
 std::future<util::Result<Verdict>> DetectionServer::submit(
     std::vector<double> features, double deadline_ms, obs::TraceContext ctx) {
+  return enqueue(std::move(features), resolve_deadline(deadline_ms), ctx);
+}
+
+std::future<util::Result<Verdict>> DetectionServer::enqueue(
+    std::vector<double> features, std::optional<Clock::time_point> deadline,
+    obs::TraceContext ctx) {
   stats_.on_submitted();
   if (registry_.active() == nullptr) {
     stats_.on_rejected_no_model();
@@ -81,7 +87,7 @@ std::future<util::Result<Verdict>> DetectionServer::submit(
   Request req;
   req.features = std::move(features);
   req.enqueued = Clock::now();
-  req.deadline = resolve_deadline(deadline_ms);
+  req.deadline = deadline;
   req.ctx = ctx;
   auto future = req.promise.get_future();
   if (!queue_.try_push(req)) {
@@ -97,6 +103,8 @@ std::future<util::Result<Verdict>> DetectionServer::submit(
 
 std::future<util::Result<Verdict>> DetectionServer::submit(
     const isa::Program& program, double deadline_ms) {
+  // The deadline covers featurization: its clock starts here.
+  const auto deadline = resolve_deadline(deadline_ms);
   auto ckpt = registry_.active();
   if (ckpt == nullptr) {
     stats_.on_submitted();
@@ -129,7 +137,7 @@ std::future<util::Result<Verdict>> DetectionServer::submit(
     return reject(Status::error(ErrorCode::kInvalidArgument, e.what())
                       .with_context("DetectionServer::submit(program)"));
   }
-  return submit(std::move(row), deadline_ms);
+  return enqueue(std::move(row), deadline, {});
 }
 
 util::Result<Verdict> DetectionServer::detect(std::vector<double> features,

@@ -3,10 +3,10 @@
 // and returns scored verdicts.
 //
 // Request path:
-//   submit() — featurize on the caller's thread (program overload), then
-//   try_push into a bounded queue. A full queue or missing model rejects
-//   immediately with a ready future (kUnavailable); the client never hangs
-//   on admission.
+//   submit() — resolve the deadline, featurize on the caller's thread
+//   (program overload), then try_push into a bounded queue. A full queue
+//   or missing model rejects immediately with a ready future
+//   (kUnavailable); the client never hangs on admission.
 //   worker — blocking pop for the first request, then lingers up to
 //   max_wait_us (or until max_batch) to coalesce stragglers into one
 //   Model::infer call. Deadlines are checked at dequeue: an expired request
@@ -103,7 +103,11 @@ class DetectionServer {
   /// on the caller's thread, then enqueue. The feature width follows the
   /// active checkpoint's spec (23 or 41). Featurization runs under a
   /// "serve.featurize" span and lands in the "serve.featurize_ms"
-  /// histogram.
+  /// histogram. deadline_ms is read as above, but its clock starts when
+  /// submit() is called, so featurization counts against it: a program
+  /// whose featurization outlasts its deadline is still enqueued, then
+  /// fails at dequeue with kDeadlineExceeded and counts as expired.
+  /// Verdict::queue_ms and total_ms still run from the enqueue.
   std::future<util::Result<Verdict>> submit(const isa::Program& program,
                                             double deadline_ms = -1.0);
 
@@ -143,6 +147,10 @@ class DetectionServer {
 
   std::future<util::Result<Verdict>> reject(util::Status status);
   std::optional<Clock::time_point> resolve_deadline(double deadline_ms) const;
+  /// Admission shared by both submit() overloads; `deadline` is absolute.
+  std::future<util::Result<Verdict>> enqueue(
+      std::vector<double> features, std::optional<Clock::time_point> deadline,
+      obs::TraceContext ctx);
   void worker_loop();
   void process_batch(std::vector<Request>& batch);
 

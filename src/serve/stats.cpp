@@ -7,6 +7,21 @@
 
 namespace gea::serve {
 
+namespace {
+
+util::LatencySummary summarize(const obs::HistogramSnapshot& h) {
+  util::LatencySummary s;
+  s.count = static_cast<std::size_t>(h.count);
+  s.mean = h.mean();
+  s.p50 = h.quantile(0.50);
+  s.p95 = h.quantile(0.95);
+  s.p99 = h.quantile(0.99);
+  s.max = h.quantile(1.0);
+  return s;
+}
+
+}  // namespace
+
 std::string StatsSnapshot::summary() const {
   std::ostringstream os;
   os << std::fixed << std::setprecision(2);
@@ -102,17 +117,17 @@ void ServerStats::on_completed(double queue_ms, double infer_ms,
   reg_.total_ms->observe(total_ms, trace_id);
   std::lock_guard<std::mutex> lock(mu_);
   ++counts_.completed;
-  queue_ms_.record(queue_ms);
-  infer_ms_.record(infer_ms);
-  total_ms_.record(total_ms);
 }
 
 StatsSnapshot ServerStats::snapshot(std::size_t queue_depth) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  StatsSnapshot snap = counts_;
-  snap.queue_ms = queue_ms_.summarize();
-  snap.infer_ms = infer_ms_.summarize();
-  snap.total_ms = total_ms_.summarize();
+  StatsSnapshot snap;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snap = counts_;
+  }
+  snap.queue_ms = summarize(reg_.queue_ms->snapshot());
+  snap.infer_ms = summarize(reg_.infer_ms->snapshot());
+  snap.total_ms = summarize(reg_.total_ms->snapshot());
   snap.elapsed_s = started_.elapsed_ms() / 1000.0;
   snap.qps = snap.elapsed_s > 0.0
                  ? static_cast<double>(snap.completed) / snap.elapsed_s

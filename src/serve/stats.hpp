@@ -34,7 +34,12 @@ struct StatsSnapshot {
   std::uint64_t batches = 0;         // inference calls issued
   std::map<std::size_t, std::uint64_t> batch_sizes;  // batch-size histogram
 
-  // Latency percentiles (ms).
+  // Latency percentiles (ms): bucket-interpolated estimates read from the
+  // process-wide serve.queue_ms / serve.infer_ms / serve.total_ms registry
+  // histograms, so they cover every server in the process since the last
+  // registry reset and miss requests completed while metrics were
+  // disabled. max is the upper edge of the highest occupied bucket (the
+  // overflow bucket reports its lower edge).
   util::LatencySummary queue_ms;   // submit -> dequeue
   util::LatencySummary infer_ms;   // batch forward, attributed per request
   util::LatencySummary total_ms;   // submit -> verdict
@@ -60,9 +65,10 @@ struct StatsSnapshot {
   std::string summary() const;
 };
 
-/// Thread-safe accumulator behind the snapshot. One mutex guards counters
-/// and the latency recorders; the serving hot path takes it twice per
-/// request (admission, completion) which is noise next to a CNN forward.
+/// Thread-safe accumulator behind the snapshot. One mutex guards the
+/// counters; the serving hot path takes it twice per request (admission,
+/// completion) which is noise next to a CNN forward. No per-request value
+/// is stored: latencies go only to the registry histograms.
 ///
 /// Every event is also published to obs::MetricsRegistry::global() under
 /// "serve.*" (handles resolved once at construction), so serving shares the
@@ -88,10 +94,7 @@ class ServerStats {
 
  private:
   mutable std::mutex mu_;
-  StatsSnapshot counts_;  // latency summaries unused here; recorders below
-  util::LatencyRecorder queue_ms_;
-  util::LatencyRecorder infer_ms_;
-  util::LatencyRecorder total_ms_;
+  StatsSnapshot counts_;  // latency summaries filled by snapshot()
   util::Stopwatch started_;
 
   // Registry mirrors ("serve.*"), shared across ServerStats instances by

@@ -19,6 +19,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/centrality.hpp"
 #include "graph/generators.hpp"
+#include "graph/reference.hpp"
 #include "graph/sweep.hpp"
 #include "isa/program.hpp"
 #include "obs/metrics.hpp"

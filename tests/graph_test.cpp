@@ -8,6 +8,7 @@
 #include "graph/digraph.hpp"
 #include "graph/dot.hpp"
 #include "graph/generators.hpp"
+#include "graph/reference.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -1,16 +1,17 @@
 // Tests for the src/kernels dense-math layer: ULP-bounded equivalence of
 // the tiled GEMM path against the preserved seed loops across a randomized
 // shape sweep (ragged M/N/K, batch 1/3/16), bitwise batch invariance of
-// the conv forward and backward, scalar-fallback parity, config
-// persistence round-trips, scratch footprint stability, and the obs metric
-// mirrors.
+// the conv forward and backward, bitwise parity with the scalar chain
+// across the compiled block edges, the active-path switch, scratch
+// footprint stability, and the obs metric mirrors.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kernels/config.hpp"
@@ -18,7 +19,6 @@
 #include "kernels/gemm.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/scratch.hpp"
-#include "kernels/tune.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -84,27 +84,20 @@ void naive_gemm(const kernels::GemmSpec& s, float* c) {
   }
 }
 
-kernels::KernelConfig tiled_cfg(std::uint32_t mr, std::uint32_t nr,
-                                std::uint32_t mc, std::uint32_t kc,
-                                std::uint32_t nc) {
-  kernels::KernelConfig cfg;
-  cfg.mr = mr;
-  cfg.nr = nr;
-  cfg.mc = mc;
-  cfg.kc = kc;
-  cfg.nc = nc;
-  cfg.source = kernels::KernelConfig::Source::kTuned;
-  return cfg;
-}
-
+// Ragged shapes on the compiled tile: m runs past one kMc row block, and
+// a third of the trials each add a second kNc column block or a second
+// kKc depth block.
 TEST(Gemm, RandomizedSweepMatchesNaiveAcrossVariants) {
   util::Rng rng(42);
   kernels::KernelScratch scratch;
-  const auto& variants = kernels::microkernel_variants();
+  const auto cfg = kernels::default_config();
   for (int trial = 0; trial < 60; ++trial) {
+    const int extend = static_cast<int>(rng.uniform_int(0, 2));
     const auto m = static_cast<std::size_t>(rng.uniform_int(1, 70));
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 90));
-    const auto k = static_cast<std::size_t>(rng.uniform_int(1, 120));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 90)) +
+                   (extend == 1 ? kernels::kNc : 0);
+    const auto k = static_cast<std::size_t>(rng.uniform_int(1, 120)) +
+                   (extend == 2 ? kernels::kKc : 0);
     kernels::GemmSpec spec;
     spec.m = m;
     spec.n = n;
@@ -129,19 +122,12 @@ TEST(Gemm, RandomizedSweepMatchesNaiveAcrossVariants) {
     spec.c = want.data();
     naive_gemm(spec, want.data());
 
-    // Small blocks on some trials force multi-block k/n/m paths.
-    const auto& [mr, nr] = variants[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(variants.size()) - 1))];
-    const bool small_blocks = rng.uniform() < 0.5;
-    const auto cfg = small_blocks ? tiled_cfg(mr, nr, 16, 24, 32)
-                                  : tiled_cfg(mr, nr, 64, 256, 512);
-
     std::vector<float> got = c0;
     spec.c = got.data();
     kernels::gemm(spec, cfg, scratch);
     expect_all_close(got, want, 4, 1e-5f,
                      "gemm m=" + std::to_string(m) + " n=" + std::to_string(n) +
-                         " k=" + std::to_string(k) + " cfg=" + cfg.summary());
+                         " k=" + std::to_string(k));
   }
 }
 
@@ -158,41 +144,46 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
 }
 
 // Row-count regimes of ScalarFallbackParity: below the register tile (the
-// unpacked direct path), inside the tiled range, one row past an mc row
+// unpacked direct path), inside the tiled range, one row past a kMc row
 // block (the block's last tile is partial, and its dead rows would land in
 // the next block), and the direct path at n >= 64 (full 32-column axpy and
 // 16-column dot blocks, then their tails).
 enum class Rows { kDirect, kTiled, kPastRowBlock, kDirectWide };
 
 // The chain-order contract makes every path bitwise equal to the scalar
-// fallback: each compiled variant, both transposes, every init mode, every
-// row regime, small and default cache blocks, and operands with leading
-// dimensions at or above the minimum. C carries one guard row past m and,
-// when strided, padding past n; the scalar path writes neither, so the
-// whole-buffer comparison also catches a store to a dead row or column.
+// chain: both transposes, every init mode, every row regime, one or two
+// kKc depth blocks, one or two kNc column blocks, and operands with
+// leading dimensions at or above the minimum. C carries one guard row past
+// m and, when strided, padding past n; the scalar path writes neither, so
+// the whole-buffer comparison also catches a store to a dead row or
+// column.
 TEST(Gemm, ScalarFallbackParity) {
   util::Rng rng(7);
   kernels::KernelScratch scratch;
-  auto draw = [&](std::int64_t lo, std::int64_t hi) {
-    return static_cast<std::size_t>(rng.uniform_int(lo, hi));
+  auto draw = [&](std::size_t lo, std::size_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
   };
-  for (const auto& [mr, nr] : kernels::microkernel_variants()) {
-    for (int trans = 0; trans < 4; ++trans) {
-      for (int init = 0; init < 4; ++init) {
-        for (const bool small_blocks : {false, true}) {
-          for (const Rows rows : {Rows::kDirect, Rows::kTiled,
-                                  Rows::kPastRowBlock, Rows::kDirectWide}) {
+  const auto cfg = kernels::default_config();
+  for (int trans = 0; trans < 4; ++trans) {
+    for (int init = 0; init < 4; ++init) {
+      for (const Rows rows : {Rows::kDirect, Rows::kTiled,
+                              Rows::kPastRowBlock, Rows::kDirectWide}) {
+        for (const bool deep : {false, true}) {
+          for (const bool wide : {false, true}) {
             for (const bool strided : {false, true}) {
-              const auto cfg = small_blocks ? tiled_cfg(mr, nr, 16, 24, 32)
-                                            : tiled_cfg(mr, nr, 64, 256, 512);
               const bool direct =
                   rows == Rows::kDirect || rows == Rows::kDirectWide;
-              const std::size_t m = direct ? draw(1, mr - 1)
-                                    : rows == Rows::kTiled ? draw(mr, 40)
-                                                           : cfg.mc + 1;
+              const std::size_t m = direct ? draw(1, kernels::kMr - 1)
+                                    : rows == Rows::kTiled
+                                        ? draw(kernels::kMr, 40)
+                                        : kernels::kMc + 1;
               const std::size_t n =
-                  rows == Rows::kDirectWide ? draw(64, 150) : draw(1, 60);
-              const std::size_t k = draw(1, 80);
+                  wide ? kernels::kNc + draw(1, 40)
+                  : rows == Rows::kDirectWide ? draw(64, 150)
+                                              : draw(1, 60);
+              const std::size_t k =
+                  deep ? kernels::kKc + draw(1, 40) : draw(1, 80);
               const std::size_t pad_a = strided ? draw(1, 5) : 0;
               const std::size_t pad_b = strided ? draw(1, 5) : 0;
               const std::size_t pad_c = strided ? draw(1, 5) : 0;
@@ -227,8 +218,7 @@ TEST(Gemm, ScalarFallbackParity) {
                   << "m=" << m << " n=" << n << " k=" << k
                   << " lda=" << spec.lda << " ldb=" << spec.ldb
                   << " ldc=" << spec.ldc << " trans_a=" << spec.trans_a
-                  << " trans_b=" << spec.trans_b << " init=" << init
-                  << " cfg=" << cfg.summary();
+                  << " trans_b=" << spec.trans_b << " init=" << init;
             }
           }
         }
@@ -439,50 +429,69 @@ TEST(ConvLowering, BatchedBackwardBitwiseEqualsPerSample) {
   }
 }
 
-TEST(KernelConfig, RoundTripSaveLoad) {
-  const std::string path = ::testing::TempDir() + "gea_kernels_roundtrip.cfg";
-  auto cfg = tiled_cfg(8, 8, 128, 64, 256);
-  ASSERT_TRUE(kernels::save_config(cfg, path).is_ok());
-  auto loaded = kernels::load_config(path);
-  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
-  EXPECT_EQ(loaded.value().mr, cfg.mr);
-  EXPECT_EQ(loaded.value().nr, cfg.nr);
-  EXPECT_EQ(loaded.value().mc, cfg.mc);
-  EXPECT_EQ(loaded.value().kc, cfg.kc);
-  EXPECT_EQ(loaded.value().nc, cfg.nc);
-  EXPECT_EQ(loaded.value().source, kernels::KernelConfig::Source::kTuned);
-  std::remove(path.c_str());
-}
-
-TEST(KernelConfig, LoadRejectsMissingCorruptAndUnsupported) {
-  EXPECT_FALSE(kernels::load_config("/nonexistent/gea.cfg").is_ok());
-
-  const std::string bad_header = ::testing::TempDir() + "gea_kernels_bad.cfg";
-  {
-    std::FILE* f = std::fopen(bad_header.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a kernel config\nmr 4\n", f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(kernels::load_config(bad_header).is_ok());
-  std::remove(bad_header.c_str());
-
-  const std::string unsupported = ::testing::TempDir() + "gea_kernels_uns.cfg";
-  auto cfg = tiled_cfg(5, 7, 64, 64, 64);  // no such microkernel
-  // save_config happily writes it; load must refuse via validate().
-  ASSERT_TRUE(kernels::save_config(cfg, unsupported).is_ok());
-  auto loaded = kernels::load_config(unsupported);
-  EXPECT_FALSE(loaded.is_ok());
-  std::remove(unsupported.c_str());
-}
-
-TEST(KernelConfig, SetActiveRejectsInvalidKeepsPrevious) {
+// The active config is one choice: installing the scalar chain switches
+// it and the reported summary, and the default brings the compiled tile
+// back.
+TEST(KernelConfig, SetActiveSwitchesPathAndSummary) {
   const auto before = kernels::active_config();
-  EXPECT_FALSE(kernels::set_active_config(tiled_cfg(3, 9, 64, 64, 64)).is_ok());
-  EXPECT_EQ(kernels::active_config().summary(), before.summary());
-  // Valid configs install and report through the summary.
+  EXPECT_FALSE(kernels::default_config().scalar);
+  EXPECT_EQ(kernels::default_config().summary(),
+            "mr=4 nr=8 mc=64 kc=256 nc=512");
   ASSERT_TRUE(kernels::set_active_config(kernels::scalar_config()).is_ok());
-  EXPECT_EQ(kernels::active_config_summary(), "scalar source=fallback");
+  EXPECT_TRUE(kernels::active_config().scalar);
+  EXPECT_EQ(kernels::active_config_summary(), "scalar");
+  ASSERT_TRUE(kernels::set_active_config(kernels::default_config()).is_ok());
+  EXPECT_FALSE(kernels::active_config().scalar);
+  EXPECT_EQ(kernels::active_config_summary(),
+            kernels::default_config().summary());
+  ASSERT_TRUE(kernels::set_active_config(before).is_ok());
+}
+
+// The active choice may change while other threads multiply: each call
+// reads it once, and either path gives the same bits.
+TEST(KernelConfig, SwitchWhileOtherThreadsMultiplyKeepsBits) {
+  const auto before = kernels::active_config();
+  util::Rng rng(37);
+  const std::size_t m = 9, n = 40, k = kernels::kKc + 20;
+  const auto a = random_vec(rng, m * k);
+  const auto b = random_vec(rng, k * n);
+  const auto bias = random_vec(rng, n);
+  kernels::GemmSpec spec;
+  spec.m = m;
+  spec.n = n;
+  spec.k = k;
+  spec.a = a.data();
+  spec.lda = k;
+  spec.b = b.data();
+  spec.ldb = n;
+  spec.ldc = n;
+  spec.bias_col = bias.data();
+  std::vector<float> want(m * n);
+  spec.c = want.data();
+  kernels::KernelScratch scratch;
+  kernels::gemm(spec, kernels::scalar_config(), scratch);
+
+  constexpr int kThreads = 3;
+  std::atomic<int> running{kThreads};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, spec]() mutable {
+      std::vector<float> got(m * n);
+      spec.c = got.data();
+      for (int i = 0; i < 100; ++i) {
+        kernels::gemm(spec);
+        if (!bitwise_equal(got, want)) mismatches.fetch_add(1);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  for (bool scalar = true; running.load() > 0; scalar = !scalar) {
+    (void)kernels::set_active_config(scalar ? kernels::scalar_config()
+                                            : kernels::default_config());
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0);
   ASSERT_TRUE(kernels::set_active_config(before).is_ok());
 }
 
@@ -518,12 +527,9 @@ TEST(KernelMetrics, GemmActivityMirroredIntoRegistry) {
   std::vector<float> y(8 * 16);
 
   const auto calls0 = reg.snapshot().counters["kernels.gemm_calls"];
-  const auto tuned0 = reg.snapshot().counters["kernels.tuned"];
-  const auto fallback0 = reg.snapshot().counters["kernels.fallback"];
 
-  auto tuned_cfg = kernels::default_config();
-  tuned_cfg.source = kernels::KernelConfig::Source::kTuned;
-  ASSERT_TRUE(kernels::set_active_config(tuned_cfg).is_ok());
+  // Both paths count.
+  ASSERT_TRUE(kernels::set_active_config(kernels::default_config()).is_ok());
   kernels::dense_forward(8, 32, 16, x.data(), w.data(), b.data(), y.data());
   ASSERT_TRUE(kernels::set_active_config(kernels::scalar_config()).is_ok());
   kernels::dense_forward(8, 32, 16, x.data(), w.data(), b.data(), y.data());
@@ -531,27 +537,7 @@ TEST(KernelMetrics, GemmActivityMirroredIntoRegistry) {
 
   const auto snap = reg.snapshot();
   EXPECT_GE(snap.counters.at("kernels.gemm_calls"), calls0 + 2);
-  EXPECT_GE(snap.counters.at("kernels.tuned"), tuned0 + 1);
-  EXPECT_GE(snap.counters.at("kernels.fallback"), fallback0 + 1);
   EXPECT_GE(snap.histograms.at("kernels.gemm_ms").count, 2u);
-}
-
-TEST(Tuner, QuickSearchReturnsSupportedWinner) {
-  kernels::TuneOptions opts;
-  opts.quick = true;
-  opts.reps = 1;
-  opts.shapes = {{12, 48, 24, "tiny1"}, {5, 7, 11, "tiny2"}};
-  const auto report = kernels::tune(opts);
-  EXPECT_EQ(report.candidates.size(), kernels::microkernel_variants().size());
-  EXPECT_TRUE(kernels::microkernel_supported(report.best.mr, report.best.nr));
-  EXPECT_EQ(report.best.source, kernels::KernelConfig::Source::kTuned);
-  EXPECT_GT(report.best_ms, 0.0);
-  EXPECT_GT(report.scalar_ms, 0.0);
-  for (std::size_t i = 1; i < report.candidates.size(); ++i) {
-    EXPECT_LE(report.candidates[i - 1].total_ms, report.candidates[i].total_ms);
-  }
-  // The tuner is an observer: it must not touch the active config.
-  EXPECT_TRUE(kernels::validate(kernels::active_config()).is_ok());
 }
 
 }  // namespace

@@ -13,8 +13,11 @@
 #include <vector>
 
 #include "bingen/families.hpp"
+#include "cfg/cfg.hpp"
+#include "features/engine.hpp"
 #include "features/extended.hpp"
 #include "features/scaler.hpp"
+#include "isa/program.hpp"
 #include "ml/model.hpp"
 #include "ml/zoo.hpp"
 #include "obs/metrics.hpp"
@@ -24,6 +27,7 @@
 #include "serve/server.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -392,6 +396,62 @@ TEST(Server, ExpiredDeadlineRejectedAtDequeue) {
   std::filesystem::remove_all(dir);
 }
 
+/// One function of `n` chained skips (compare, then jump over one add):
+/// 2n + 1 basic blocks with one shortest path between any two, far larger
+/// than any generated family, so featurizing it takes milliseconds.
+isa::Program skip_chain(int n) {
+  isa::ProgramBuilder b;
+  b.begin_function("main");
+  b.movi(0, 0);
+  for (int i = 0; i < n; ++i) {
+    const int skip = b.new_label();
+    b.cmpi(0, i);
+    b.jump(isa::Opcode::kJe, skip);
+    b.alui(isa::Opcode::kAddImm, 1, 1);
+    b.bind(skip);
+  }
+  b.halt();
+  b.end_function();
+  return b.build();
+}
+
+// A program's deadline runs from submit(), so featurization counts against
+// it: with the feature cache off, a program whose featurization takes ten
+// times its deadline expires at dequeue, while the worker sits idle.
+TEST(Server, ProgramDeadlineCoversFeaturization) {
+  const auto dir = write_checkpoint("program_deadline", 83);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.feature_cache_capacity = 0;
+  serve::DetectionServer server(reg, cfg);
+
+  const auto program = skip_chain(1500);
+  // Time the featurization submit() runs, on this thread.
+  util::Stopwatch sw;
+  const cfg::Cfg graph = cfg::extract_cfg(program, {.main_only = true});
+  (void)features::FeatureEngine::local().extract(graph.graph, nullptr);
+  const double featurize_ms = sw.elapsed_ms();
+  // Long enough for an idle worker to dequeue well inside it, had the
+  // clock started at the enqueue.
+  const double deadline_ms = featurize_ms / 10.0;
+  ASSERT_GE(deadline_ms, 1.0) << "featurization took " << featurize_ms
+                              << " ms";
+
+  auto late = server.detect(program, deadline_ms);
+  ASSERT_FALSE(late.is_ok());
+  EXPECT_EQ(late.status().code(), ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(server.stats().expired, 1u);
+
+  // With room for its featurization the same program is served.
+  auto served = server.detect(program, 100.0 * featurize_ms + 1000.0);
+  ASSERT_TRUE(served.is_ok()) << served.status().to_string();
+  EXPECT_EQ(server.stats().expired, 1u);
+  EXPECT_EQ(server.stats().completed, 1u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Server, NoActiveModelRejectsImmediately) {
   serve::ModelRegistry reg;  // empty
   serve::ServerConfig cfg;
@@ -658,6 +718,34 @@ TEST(Stats, PublishesIntoGlobalMetricsRegistry) {
                  ? before.histograms.at("serve.infer_ms").count
                  : 0) +
                 1);
+}
+
+// ServerStats keeps no per-request samples: the snapshot's latency
+// percentiles are bucket estimates read from the process-wide serve.*
+// histograms, and summary() still renders them.
+TEST(Stats, LatencyPercentilesReadTheRegistryHistograms) {
+#if defined(GEA_OBS_NOOP)
+  GTEST_SKIP() << "GEA_OBS_NOOP build: instrumentation compiled out";
+#endif
+  serve::ServerStats stats;
+  const std::size_t before = stats.snapshot().total_ms.count;
+  for (int i = 0; i < 50; ++i) stats.on_completed(0.2, 0.7, 4.0);
+  const auto snap = stats.snapshot();
+  EXPECT_EQ(snap.total_ms.count, before + 50);
+
+  const auto h =
+      obs::MetricsRegistry::global().snapshot().histograms.at("serve.total_ms");
+  EXPECT_EQ(snap.total_ms.count, h.count);
+  EXPECT_DOUBLE_EQ(snap.total_ms.mean, h.mean());
+  EXPECT_DOUBLE_EQ(snap.total_ms.p50, h.quantile(0.50));
+  EXPECT_DOUBLE_EQ(snap.total_ms.p95, h.quantile(0.95));
+  EXPECT_DOUBLE_EQ(snap.total_ms.p99, h.quantile(0.99));
+  EXPECT_LE(snap.total_ms.p99, snap.total_ms.max);
+
+  const auto text = snap.summary();
+  for (const char* key : {"p50", "p95", "p99"}) {
+    EXPECT_NE(text.find(key), std::string::npos) << key;
+  }
 }
 
 }  // namespace
