@@ -4,13 +4,13 @@
 // Design rules:
 //  - No exceptions, no blocking surprises: every operation reports through
 //    IoResult / util::Status and EAGAIN is a first-class outcome, because
-//    the transport's event loop multiplexes many connections over poll().
+//    net::EventLoop multiplexes many connections over poll().
 //  - EINTR is retried internally; SIGPIPE is suppressed (MSG_NOSIGNAL) so a
 //    peer that vanished mid-write surfaces as an error, not a dead process.
 //  - Fault injection is opt-in per socket (set_fault_injection): the
-//    transport server arms it on the listener and on accepted connections,
-//    while a client in the same process keeps clean sockets — that is what
-//    makes counted fault plans deterministic in tests.
+//    transport's event loop arms it on the listener and on accepted
+//    connections, while the admin plane and clients keep clean sockets —
+//    that is what makes counted fault plans deterministic in tests.
 #pragma once
 
 #include <cstddef>

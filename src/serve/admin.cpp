@@ -1,16 +1,14 @@
 #include "serve/admin.hpp"
 
-#include <poll.h>
-
+#include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "kernels/config.hpp"
-#include "net/socket.hpp"
+#include "net/event_loop.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,13 +17,9 @@
 #include "serve/transport.hpp"
 #include "util/faultinject.hpp"
 #include "util/log.hpp"
-#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
 namespace gea::serve {
-
-using util::ErrorCode;
-using util::Status;
 
 namespace {
 
@@ -41,232 +35,113 @@ const char* status_text(int code) {
 }
 
 /// Serialize a Response as a full HTTP/1.0 close-after-response message.
-std::vector<std::uint8_t> render_http(const AdminServer::Response& r) {
+/// A HEAD response carries the GET headers, Content-Length included, and no
+/// body (RFC 1945 §8.2).
+std::vector<std::uint8_t> render_http(const AdminServer::Response& r,
+                                      bool head) {
   std::ostringstream os;
   os << "HTTP/1.0 " << r.status << " " << status_text(r.status) << "\r\n"
      << "Content-Type: " << r.content_type << "\r\n"
      << "Content-Length: " << r.body.size() << "\r\n"
-     << "Connection: close\r\n\r\n"
-     << r.body;
+     << "Connection: close\r\n\r\n";
+  if (!head) os << r.body;
   const std::string s = os.str();
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
 /// One admin connection: read the request, answer once, flush, close.
-struct AConn {
-  net::Socket sock;
-  std::string req;                  // request bytes until the header end
-  std::vector<std::uint8_t> wbuf;   // rendered response
-  std::size_t woff = 0;
-  bool responded = false;
-  bool dead = false;
-  util::Stopwatch age;  // connection-scoped deadline clock
-
-  std::size_t pending() const { return wbuf.size() - woff; }
+struct HttpConn : net::Connection {
+  util::Stopwatch age;  // from accept, then from the response
 };
 
 }  // namespace
 
-struct AdminServer::Impl {
+/// HTTP/1.0 request parsing and close-after-response, as the event loop's
+/// handler.
+struct AdminServer::Impl final : net::EventLoop::Handler {
   AdminServer& self;
   AdminConfig config;
   AdminHooks hooks;
-  net::ListenSocket listener;
-
-  std::atomic<bool> started{false};
-  std::atomic<bool> stop_requested{false};
-  std::atomic<bool> loop_running{false};
 
   std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> accept_failures{0};
   std::atomic<std::uint64_t> slow_clients{0};
 
-  obs::Counter* m_requests;
-  obs::Counter* m_accept_failures;
-  obs::Counter* m_slow_clients;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  obs::Counter& m_requests = reg.counter("admin.requests_total");
+  obs::Counter& m_slow_clients = reg.counter("admin.slow_clients_total");
 
   util::Stopwatch uptime;
-  std::vector<std::unique_ptr<AConn>> conns;
-  util::ThreadPool io_pool{1};
+  // Last: its thread calls into the members above. stop() closes at once.
+  net::EventLoop loop{
+      "admin", *this, /*drain_timeout_ms=*/0.0,
+      {.accept_failures = &reg.counter("admin.accept_failures_total")}};
 
   Impl(AdminServer& s, const AdminConfig& cfg, AdminHooks h)
-      : self(s), config(cfg), hooks(h) {
-    auto& reg = obs::MetricsRegistry::global();
-    m_requests = &reg.counter("admin.requests_total");
-    m_accept_failures = &reg.counter("admin.accept_failures_total");
-    m_slow_clients = &reg.counter("admin.slow_clients_total");
+      : self(s), config(cfg), hooks(h) {}
+
+  std::unique_ptr<net::Connection> admit(std::size_t) override {
+    return std::make_unique<HttpConn>();
   }
 
-  void close_conn(AConn& conn) {
-    if (conn.dead) return;
-    conn.dead = true;
-    conn.sock.close();
+  bool accept_fault() override {
+    // Synthesized transient accept failure: the pending scrape stays in the
+    // backlog and the next poll round retries it.
+    return config.fault_injection &&
+           util::fault(util::faults::kAdminAcceptFail);
   }
 
-  void accept_ready() {
-    while (true) {
-      if (config.fault_injection &&
-          util::fault(util::faults::kAdminAcceptFail)) {
-        // Synthesized transient accept failure: the pending scrape stays in
-        // the backlog and the next poll round retries it.
-        accept_failures.fetch_add(1, std::memory_order_relaxed);
-        m_accept_failures->inc();
-        break;
-      }
-      auto res = listener.accept_one();
-      if (res.would_block) break;
-      if (!res.status.is_ok()) {
-        accept_failures.fetch_add(1, std::memory_order_relaxed);
-        m_accept_failures->inc();
-        break;
-      }
-      auto conn = std::make_unique<AConn>();
-      conn->sock = std::move(res.socket);
-      conns.push_back(std::move(conn));
+  void on_input(net::Connection& conn) override {
+    // Only the first max_request_bytes may hold the header.
+    const std::string_view head(
+        reinterpret_cast<const char*>(conn.in.data()),
+        std::min(conn.in.size(), config.max_request_bytes));
+    if (head.find("\r\n\r\n") == std::string_view::npos &&
+        head.find("\n\n") == std::string_view::npos) {
+      if (conn.in.size() <= config.max_request_bytes) return;  // still arriving
+      return respond(conn, {.status = 400, .body = "request too large\n"});
     }
-  }
-
-  void read_conn(AConn& conn) {
-    std::uint8_t chunk[4096];
-    while (!conn.responded) {
-      auto io = conn.sock.read_some(chunk, sizeof(chunk));
-      if (!io.ok() || io.eof) {
-        close_conn(conn);
-        return;
-      }
-      if (io.would_block) return;
-      conn.req.append(reinterpret_cast<const char*>(chunk), io.bytes);
-      if (conn.req.size() > config.max_request_bytes) {
-        respond(conn, Response{400, "text/plain; charset=utf-8",
-                               "request too large\n"});
-        return;
-      }
-      if (conn.req.find("\r\n\r\n") != std::string::npos ||
-          conn.req.find("\n\n") != std::string::npos) {
-        dispatch(conn);
-        return;
-      }
-    }
-  }
-
-  void dispatch(AConn& conn) {
     // Request line: METHOD SP TARGET [SP VERSION]. Anything unparseable is
     // a 400; the admin plane never guesses.
-    std::istringstream line(conn.req.substr(0, conn.req.find('\n')));
+    std::istringstream line(std::string(head.substr(0, head.find('\n'))));
     std::string method, target;
     line >> method >> target;
     if (method.empty() || target.empty() || target[0] != '/') {
-      respond(conn, Response{400, "text/plain; charset=utf-8",
-                             "malformed request line\n"});
-      return;
+      return respond(conn, {.status = 400, .body = "malformed request line\n"});
     }
-    respond(conn, self.handle(method, target));
+    respond(conn, self.handle(method, target), /*head=*/method == "HEAD");
   }
 
-  void respond(AConn& conn, const Response& r) {
-    if (conn.responded || conn.dead) return;
-    conn.responded = true;
-    conn.wbuf = render_http(r);
+  void respond(net::Connection& conn, const Response& r, bool head = false) {
+    conn.reading = false;
+    conn.out = render_http(r, head);
     requests.fetch_add(1, std::memory_order_relaxed);
-    m_requests->inc();
-    conn.age.reset();  // the write deadline starts at response time
+    m_requests.inc();
+    static_cast<HttpConn&>(conn).age.reset();  // write deadline starts now
   }
 
-  void write_conn(AConn& conn) {
-    while (conn.pending() > 0) {
-      if (config.fault_injection &&
-          util::fault(util::faults::kAdminSlowClient)) {
-        // Synthesized stalled scraper: pretend the kernel accepted nothing;
-        // the write deadline below disconnects it.
-        return;
-      }
-      auto io = conn.sock.write_some(conn.wbuf.data() + conn.woff,
-                                     conn.pending());
-      if (io.would_block) return;
-      if (io.eof || !io.ok()) {
-        close_conn(conn);
-        return;
-      }
-      conn.woff += io.bytes;
+  /// Flush, close after the response, and close a client that stalls past
+  /// its read or write deadline.
+  void on_round(net::Connection& nconn) override {
+    auto& conn = static_cast<HttpConn&>(nconn);
+    // Synthesized stalled scraper: pretend it accepted nothing this round;
+    // the write deadline below disconnects it.
+    if (conn.pending() > 0 &&
+        !(config.fault_injection &&
+          util::fault(util::faults::kAdminSlowClient))) {
+      loop.flush(conn);
+      if (conn.pending() == 0) return loop.close(conn);  // after the response
     }
-    close_conn(conn);  // close-after-response
-  }
-
-  void scan_timeouts() {
-    for (auto& conn : conns) {
-      if (conn->dead) continue;
-      const double limit =
-          conn->responded ? config.write_timeout_ms : config.read_timeout_ms;
-      if (conn->age.elapsed_ms() > limit) {
-        slow_clients.fetch_add(1, std::memory_order_relaxed);
-        m_slow_clients->inc();
-        util::log_warn("admin: closing slow client (",
-                       conn->responded ? "response stalled" : "request stalled",
-                       " after ", conn->age.elapsed_ms(), " ms)");
-        close_conn(*conn);
-      }
+    if (conn.dead) return;
+    const double limit =
+        conn.reading ? config.read_timeout_ms : config.write_timeout_ms;
+    if (conn.age.elapsed_ms() > limit) {
+      slow_clients.fetch_add(1, std::memory_order_relaxed);
+      m_slow_clients.inc();
+      util::log_warn("admin: closing slow client (",
+                     conn.reading ? "request stalled" : "response stalled",
+                     " after ", conn.age.elapsed_ms(), " ms)");
+      loop.close(conn);
     }
-  }
-
-  void loop() {
-    loop_running.store(true, std::memory_order_release);
-    std::vector<struct pollfd> pfds;
-    std::vector<AConn*> pfd_conns;
-
-    while (!stop_requested.load(std::memory_order_acquire)) {
-      pfds.clear();
-      pfd_conns.clear();
-      if (listener.valid()) {
-        pfds.push_back({listener.fd(), POLLIN, 0});
-        pfd_conns.push_back(nullptr);
-      }
-      for (auto& conn : conns) {
-        if (conn->dead) continue;
-        short events = 0;
-        if (!conn->responded) events |= POLLIN;
-        if (conn->pending() > 0) events |= POLLOUT;
-        if (events == 0) continue;
-        pfds.push_back({conn->sock.fd(), events, 0});
-        pfd_conns.push_back(conn.get());
-      }
-
-      int rc;
-      do {
-        rc = ::poll(pfds.data(), pfds.size(), 50);
-      } while (rc < 0 && errno == EINTR);
-      if (rc < 0) {
-        util::log_error("admin: poll failed: ", std::strerror(errno));
-        break;
-      }
-
-      for (std::size_t i = 0; i < pfds.size(); ++i) {
-        if (pfds[i].revents == 0) continue;
-        if (pfd_conns[i] == nullptr) {
-          accept_ready();
-          continue;
-        }
-        AConn& conn = *pfd_conns[i];
-        if (conn.dead) continue;
-        if (pfds[i].revents & (POLLERR | POLLNVAL)) {
-          close_conn(conn);
-          continue;
-        }
-        if (pfds[i].revents & (POLLIN | POLLHUP)) read_conn(conn);
-        if (!conn.dead && conn.pending() > 0) write_conn(conn);
-      }
-      // Flush responses built this round even when POLLOUT wasn't armed yet.
-      for (auto& conn : conns) {
-        if (!conn->dead && conn->pending() > 0) write_conn(*conn);
-      }
-      scan_timeouts();
-      std::erase_if(conns,
-                    [](const std::unique_ptr<AConn>& c) { return c->dead; });
-    }
-
-    for (auto& conn : conns) close_conn(*conn);
-    conns.clear();
-    listener.close();
-    loop_running.store(false, std::memory_order_release);
   }
 };
 
@@ -276,38 +151,25 @@ AdminServer::AdminServer(const AdminConfig& config, AdminHooks hooks)
 AdminServer::~AdminServer() { stop(); }
 
 util::Status AdminServer::start() {
-  if (impl_->started.exchange(true)) {
-    return Status::error(ErrorCode::kFailedPrecondition,
-                         "AdminServer already started");
-  }
-  auto st = impl_->listener.listen(impl_->config.host, impl_->config.port);
-  if (!st.is_ok()) {
-    impl_->started.store(false);
-    return st.with_context("AdminServer::start");
-  }
-  impl_->io_pool.submit([this] { impl_->loop(); });
-  return Status::ok();
+  // admin.* fault points only: the net.* points stay off this plane.
+  return impl_->loop
+      .start(impl_->config.host, impl_->config.port, /*fault_injection=*/false)
+      .with_context("AdminServer::start");
 }
 
-void AdminServer::stop() {
-  impl_->stop_requested.store(true, std::memory_order_release);
-  impl_->io_pool.wait_idle();
-}
+void AdminServer::stop() { impl_->loop.stop(); }
 
-bool AdminServer::running() const {
-  return impl_->loop_running.load(std::memory_order_acquire);
-}
+bool AdminServer::running() const { return impl_->loop.running(); }
 
-std::uint16_t AdminServer::port() const { return impl_->listener.port(); }
+std::uint16_t AdminServer::port() const { return impl_->loop.port(); }
 
 const AdminConfig& AdminServer::config() const { return impl_->config; }
 
 AdminSnapshot AdminServer::stats() const {
-  AdminSnapshot s;
-  s.requests = impl_->requests.load(std::memory_order_relaxed);
-  s.accept_failures = impl_->accept_failures.load(std::memory_order_relaxed);
-  s.slow_clients = impl_->slow_clients.load(std::memory_order_relaxed);
-  return s;
+  const net::EventLoop::Counters& l = impl_->loop.counters();
+  return {.requests = impl_->requests.load(std::memory_order_relaxed),
+          .accept_failures = l.accept_failures.load(std::memory_order_relaxed),
+          .slow_clients = impl_->slow_clients.load(std::memory_order_relaxed)};
 }
 
 AdminServer::Response AdminServer::handle(const std::string& method,

@@ -1,7 +1,6 @@
-// Live admin/introspection plane: a minimal HTTP/1.0 server (std-only,
-// reusing src/net sockets and the same poll-loop discipline as the
-// transport) that exposes the process's observability surface while it
-// serves traffic:
+// Live admin/introspection plane: a minimal HTTP/1.0 server (std-only, the
+// HTTP handler of a net::EventLoop, the loop the transport runs too) that
+// exposes the process's observability surface while it serves traffic:
 //
 //   GET /metrics  Prometheus exposition of the global MetricsRegistry,
 //                 histogram buckets carrying exemplar trace ids.
@@ -14,9 +13,10 @@
 //                 ?format=json downloads the ring as Chrome trace JSON.
 //   GET /statusz  build info, active kernel config, queue depth/capacity,
 //                 uptime.
+//   HEAD          any of the above: the GET headers and no body.
 //
 // The admin plane is deliberately subordinate to the data plane: it runs
-// one poll loop on its own single-thread pool, every connection is
+// its own event loop on its own thread, every connection is
 // close-after-response with bounded request/response buffers and
 // timeouts, and its two fault points (admin.accept.fail,
 // admin.slow_client) let tests prove a hostile or stalled scraper is

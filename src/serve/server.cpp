@@ -87,6 +87,12 @@ std::future<util::Result<Verdict>> DetectionServer::enqueue(
   Request req;
   req.features = std::move(features);
   req.enqueued = Clock::now();
+  if (deadline.has_value() && req.enqueued > *deadline) {
+    stats_.on_expired();  // e.g. featurization outlasted it: take no slot
+    return reject(Status::error(ErrorCode::kDeadlineExceeded,
+                                "request expired before enqueue")
+                      .with_context("DetectionServer::submit"));
+  }
   req.deadline = deadline;
   req.ctx = ctx;
   auto future = req.promise.get_future();

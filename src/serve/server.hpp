@@ -4,9 +4,9 @@
 //
 // Request path:
 //   submit() — resolve the deadline, featurize on the caller's thread
-//   (program overload), then try_push into a bounded queue. A full queue
-//   or missing model rejects immediately with a ready future
-//   (kUnavailable); the client never hangs on admission.
+//   (program overload), then try_push into a bounded queue. A full queue,
+//   a missing model (kUnavailable) or a passed deadline (kDeadlineExceeded)
+//   rejects at once with a ready future; the client never hangs on admission.
 //   worker — blocking pop for the first request, then lingers up to
 //   max_wait_us (or until max_batch) to coalesce stragglers into one
 //   Model::infer call. Deadlines are checked at dequeue: an expired request
@@ -105,8 +105,8 @@ class DetectionServer {
   /// "serve.featurize" span and lands in the "serve.featurize_ms"
   /// histogram. deadline_ms is read as above, but its clock starts when
   /// submit() is called, so featurization counts against it: a program
-  /// whose featurization outlasts its deadline is still enqueued, then
-  /// fails at dequeue with kDeadlineExceeded and counts as expired.
+  /// whose featurization outlasts its deadline fails with
+  /// kDeadlineExceeded and counts as expired without taking a queue slot.
   /// Verdict::queue_ms and total_ms still run from the enqueue.
   std::future<util::Result<Verdict>> submit(const isa::Program& program,
                                             double deadline_ms = -1.0);

@@ -27,7 +27,7 @@ struct StatsSnapshot {
   std::uint64_t rejected_full = 0;   // refused: queue at capacity
   std::uint64_t rejected_invalid = 0;  // refused before/at inference: bad input
   std::uint64_t rejected_no_model = 0; // refused: no active checkpoint
-  std::uint64_t expired = 0;         // dropped at dequeue: deadline passed
+  std::uint64_t expired = 0;         // deadline passed at enqueue or dequeue
 
   // Execution.
   std::uint64_t completed = 0;       // verdicts delivered
@@ -50,8 +50,8 @@ struct StatsSnapshot {
 
   /// Mean batch size, computed from the batch-size histogram itself
   /// (sum of size*count over batch_sizes / batches) so the mean and the
-  /// histogram can never disagree. Expired requests are dropped at dequeue
-  /// and never reach a batch, so they do not enter this mean.
+  /// histogram can never disagree. Expired requests never reach a batch,
+  /// so they do not enter this mean.
   double mean_batch() const {
     if (batches == 0) return 0.0;
     std::uint64_t in_batches = 0;

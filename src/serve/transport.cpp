@@ -2,20 +2,19 @@
 
 #include <poll.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <deque>
+#include <optional>
 #include <thread>
 #include <utility>
 
+#include "net/event_loop.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/slo.hpp"
 #include "util/log.hpp"
-#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
 namespace gea::serve {
@@ -161,13 +160,8 @@ util::Result<Verdict> decode_detect_response_payload(
 
 namespace {
 
-/// Per-connection state owned by the event loop thread.
-struct Conn {
-  net::Socket sock;
-  std::vector<std::uint8_t> rbuf;  // received, not yet decoded
-  std::vector<std::uint8_t> wbuf;  // encoded, not yet flushed
-  std::size_t woff = 0;            // flushed prefix of wbuf
-
+/// The frame protocol's state of one connection, beside the loop's.
+struct FrameConn : net::Connection {
   struct Pending {
     std::uint64_t id = 0;
     std::future<util::Result<Verdict>> fut;
@@ -177,122 +171,96 @@ struct Conn {
     std::uint64_t schema_digest = 0;    // client's pin; 0 = none
   };
   std::deque<Pending> inflight;
-
-  util::Stopwatch idle;     // reset whenever bytes move either way
-  util::Stopwatch partial;  // reset when an incomplete frame starts
-  bool has_partial = false;
-  bool close_after_flush = false;
-  bool dead = false;
-
-  std::size_t wbuf_pending() const { return wbuf.size() - woff; }
+  std::optional<util::Stopwatch> partial;  // age of an incomplete frame
 };
+
+/// Count one event for this server and in its registry mirror.
+void bump(std::atomic<std::uint64_t>& counter, obs::Counter& mirror) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+  mirror.inc();
+}
 
 }  // namespace
 
-struct TransportServer::Impl {
+/// The frame protocol, as the event loop's handler.
+struct TransportServer::Impl final : net::EventLoop::Handler {
   DetectionServer& server;
   TransportConfig config;
-  net::ListenSocket listener;
-
-  std::atomic<bool> started{false};
-  std::atomic<bool> stop_requested{false};
-  std::atomic<bool> loop_running{false};
-  std::atomic<bool> drain_active{false};
 
   struct Counters {
-    std::atomic<std::uint64_t> accepted{0}, closed{0}, accept_failures{0},
-        frames_read{0}, frames_written{0}, bytes_read{0}, bytes_written{0},
+    std::atomic<std::uint64_t> frames_read{0}, frames_written{0},
         quarantined{0}, shed{0}, idle_timeouts{0}, read_timeouts{0},
         requests{0}, responses_ok{0}, responses_error{0};
-    std::atomic<std::size_t> active{0};
   } c;
 
   // Registry mirrors ("net.*"), resolved once; shared across instances by
   // design (the registry aggregates the process, stats() isolates this
-  // server).
-  obs::Counter* m_accepted;
-  obs::Counter* m_closed;
-  obs::Counter* m_accept_failures;
-  obs::Counter* m_frames_read;
-  obs::Counter* m_frames_written;
-  obs::Counter* m_quarantined;
-  obs::Counter* m_shed;
-  obs::Counter* m_idle_timeouts;
-  obs::Counter* m_read_timeouts;
-  obs::Counter* m_requests;
-  obs::Gauge* m_active;
-  obs::Histogram* m_request_ms;
+  // server). The loop bumps the connection-level ones.
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  obs::Counter& m_frames_read = reg.counter("net.frames_read_total");
+  obs::Counter& m_frames_written = reg.counter("net.frames_written_total");
+  obs::Counter& m_quarantined = reg.counter("net.frames_quarantined_total");
+  obs::Counter& m_shed = reg.counter("net.requests_shed_total");
+  obs::Counter& m_idle_timeouts = reg.counter("net.idle_timeouts_total");
+  obs::Counter& m_read_timeouts = reg.counter("net.read_timeouts_total");
+  obs::Counter& m_requests = reg.counter("net.requests_total");
+  obs::Histogram& m_request_ms = reg.histogram("net.request_ms");
 
-  std::vector<std::unique_ptr<Conn>> conns;
-
-  // The event loop runs as the single task of a dedicated util::ThreadPool,
-  // so transport shutdown reuses the pool's drain-then-join discipline.
-  util::ThreadPool io_pool{1};
+  // Last: its thread calls into the members above.
+  net::EventLoop loop{
+      "net", *this, config.drain_timeout_ms,
+      {.accepted = &reg.counter("net.connections_accepted_total"),
+       .closed = &reg.counter("net.connections_closed_total"),
+       .accept_failures = &reg.counter("net.accept_failures_total"),
+       .open = &reg.gauge("net.active_connections")}};
 
   Impl(DetectionServer& s, const TransportConfig& cfg)
-      : server(s), config(cfg) {
-    auto& reg = obs::MetricsRegistry::global();
-    m_accepted = &reg.counter("net.connections_accepted_total");
-    m_closed = &reg.counter("net.connections_closed_total");
-    m_accept_failures = &reg.counter("net.accept_failures_total");
-    m_frames_read = &reg.counter("net.frames_read_total");
-    m_frames_written = &reg.counter("net.frames_written_total");
-    m_quarantined = &reg.counter("net.frames_quarantined_total");
-    m_shed = &reg.counter("net.requests_shed_total");
-    m_idle_timeouts = &reg.counter("net.idle_timeouts_total");
-    m_read_timeouts = &reg.counter("net.read_timeouts_total");
-    m_requests = &reg.counter("net.requests_total");
-    m_active = &reg.gauge("net.active_connections");
-    m_request_ms = &reg.histogram("net.request_ms");
+      : server(s), config(cfg) {}
+
+  std::unique_ptr<net::Connection> admit(std::size_t open) override {
+    if (open >= config.max_connections) {
+      // Admission control for connection storms: accept to drain the
+      // backlog, then close immediately — counted, bounded, no hang.
+      bump(c.shed, m_shed);
+      return nullptr;
+    }
+    return std::make_unique<FrameConn>();
   }
 
-  void close_conn(Conn& conn) {
-    if (conn.dead) return;
-    conn.dead = true;
-    conn.sock.close();
-    c.closed.fetch_add(1, std::memory_order_relaxed);
-    m_closed->inc();
+  bool busy(const net::Connection& conn) const override {
+    return !static_cast<const FrameConn&>(conn).inflight.empty();
   }
 
-  /// Append an encoded frame to the connection's write buffer, enforcing
+  /// Append the response frame to the connection's write buffer, enforcing
   /// the hard 2x cap: a peer that is not draining responses is closed
   /// rather than buffered for.
-  void enqueue_frame(Conn& conn, const net::Frame& frame) {
-    const auto bytes = net::encode_frame(frame, config.fault_injection);
-    conn.wbuf.insert(conn.wbuf.end(), bytes.begin(), bytes.end());
-    c.frames_written.fetch_add(1, std::memory_order_relaxed);
-    m_frames_written->inc();
-    if (conn.wbuf_pending() > 2 * config.write_buffer_limit) {
-      util::log_warn("net: closing connection over hard write-buffer cap (",
-                     conn.wbuf_pending(), " bytes pending)");
-      close_conn(conn);
-    }
-  }
-
-  void respond(Conn& conn, std::uint64_t id,
+  void respond(FrameConn& conn, std::uint64_t id,
                const util::Result<Verdict>& result,
                std::uint32_t payload_version = 1) {
     net::Frame f;
     f.type = net::FrameType::kDetectResponse;
     f.request_id = id;
     f.payload = encode_detect_response_payload(result, payload_version);
-    enqueue_frame(conn, f);
-    if (result.is_ok()) {
-      c.responses_ok.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      c.responses_error.fetch_add(1, std::memory_order_relaxed);
+    const auto bytes = net::encode_frame(f, config.fault_injection);
+    conn.out.insert(conn.out.end(), bytes.begin(), bytes.end());
+    bump(c.frames_written, m_frames_written);
+    (result.is_ok() ? c.responses_ok : c.responses_error)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (conn.pending() > 2 * config.write_buffer_limit) {
+      util::log_warn("net: closing connection over hard write-buffer cap (",
+                     conn.pending(), " bytes pending)");
+      loop.close(conn);
     }
   }
 
-  void respond_error(Conn& conn, std::uint64_t id, Status status) {
+  void respond_error(FrameConn& conn, std::uint64_t id, Status status) {
     respond(conn, id,
             util::Result<Verdict>(
                 std::move(status.with_context("TransportServer"))));
   }
 
-  void shed(Conn& conn, std::uint64_t id, const char* why) {
-    c.shed.fetch_add(1, std::memory_order_relaxed);
-    m_shed->inc();
+  void shed(FrameConn& conn, std::uint64_t id, const char* why) {
+    bump(c.shed, m_shed);
     // A shed request never reached the queue; it still consumed error
     // budget from the client's point of view.
     if (config.slo != nullptr) config.slo->record(0.0, /*ok=*/false);
@@ -302,20 +270,16 @@ struct TransportServer::Impl {
   /// A malformed frame: count it, then either answer-and-continue
   /// (lenient + recoverable) or close the connection (strict, or the
   /// stream cannot be resynchronized).
-  void quarantine(Conn& conn, std::uint64_t id, const Status& status,
+  void quarantine(FrameConn& conn, std::uint64_t id, const Status& status,
                   bool recoverable) {
-    c.quarantined.fetch_add(1, std::memory_order_relaxed);
-    m_quarantined->inc();
+    bump(c.quarantined, m_quarantined);
     if (config.slo != nullptr) config.slo->record(0.0, /*ok=*/false);
     util::log_warn("net: quarantined frame: ", status.to_string());
-    if (!recoverable || config.strict) {
-      close_conn(conn);
-      return;
-    }
+    if (!recoverable || config.strict) return loop.close(conn);
     respond_error(conn, id, status);
   }
 
-  void dispatch_frame(Conn& conn, net::Frame&& frame) {
+  void dispatch_frame(FrameConn& conn, net::Frame&& frame) {
     if (frame.type != net::FrameType::kDetectRequest) {
       quarantine(conn, frame.request_id,
                  Status::error(ErrorCode::kInvalidArgument,
@@ -324,8 +288,7 @@ struct TransportServer::Impl {
                  /*recoverable=*/true);
       return;
     }
-    c.requests.fetch_add(1, std::memory_order_relaxed);
-    m_requests->inc();
+    bump(c.requests, m_requests);
 
     // Per-connection admission control, layered in front of the queue's
     // global admission control: shed instead of buffering unboundedly.
@@ -333,7 +296,7 @@ struct TransportServer::Impl {
       shed(conn, frame.request_id, "connection in-flight limit reached");
       return;
     }
-    if (conn.wbuf_pending() > config.write_buffer_limit) {
+    if (conn.pending() > config.write_buffer_limit) {
       shed(conn, frame.request_id, "connection write buffer full");
       return;
     }
@@ -351,7 +314,7 @@ struct TransportServer::Impl {
         frame.deadline_budget_us > 0
             ? static_cast<double>(frame.deadline_budget_us) / 1000.0
             : -1.0;
-    Conn::Pending p;
+    FrameConn::Pending p;
     p.id = frame.request_id;
     p.ctx = frame.trace;
     p.payload_version = request.value().version;
@@ -364,59 +327,36 @@ struct TransportServer::Impl {
     conn.inflight.push_back(std::move(p));
   }
 
-  /// Drain readable bytes, then decode as many frames as arrived.
-  void read_conn(Conn& conn) {
-    std::uint8_t chunk[16 * 1024];
-    std::size_t round = 0;
-    while (round < 256 * 1024) {  // fairness cap per poll round
-      auto io = conn.sock.read_some(chunk, sizeof(chunk));
-      if (!io.ok()) {
-        util::log_warn("net: read error: ", io.status.to_string());
-        close_conn(conn);
-        return;
-      }
-      if (io.eof) {
-        close_conn(conn);
-        return;
-      }
-      if (io.would_block) break;
-      conn.rbuf.insert(conn.rbuf.end(), chunk, chunk + io.bytes);
-      round += io.bytes;
-      c.bytes_read.fetch_add(io.bytes, std::memory_order_relaxed);
-      conn.idle.reset();
-      if (io.bytes < sizeof(chunk)) break;  // likely drained
-    }
-
+  /// Decode as many frames as have arrived.
+  void on_input(net::Connection& nconn) override {
+    auto& conn = static_cast<FrameConn&>(nconn);
     std::size_t off = 0;
     while (!conn.dead) {
       auto res = net::decode_frame(
-          std::span<const std::uint8_t>(conn.rbuf.data() + off,
-                                        conn.rbuf.size() - off),
+          std::span<const std::uint8_t>(conn.in.data() + off,
+                                        conn.in.size() - off),
           config.max_payload_bytes, config.fault_injection);
       if (res.kind == net::DecodeResult::Kind::kNeedMore) break;
       off += res.consumed;
       if (res.kind == net::DecodeResult::Kind::kError) {
         quarantine(conn, res.frame.request_id, res.status, res.recoverable);
-        if (conn.dead) break;
         continue;
       }
-      c.frames_read.fetch_add(1, std::memory_order_relaxed);
-      m_frames_read->inc();
+      bump(c.frames_read, m_frames_read);
       dispatch_frame(conn, std::move(res.frame));
     }
-    if (off > 0) conn.rbuf.erase(conn.rbuf.begin(), conn.rbuf.begin() + off);
+    if (off > 0) conn.in.erase(conn.in.begin(), conn.in.begin() + off);
 
     // Track how long an incomplete frame has been dribbling in (slow loris).
-    if (conn.rbuf.empty()) {
-      conn.has_partial = false;
-    } else if (!conn.has_partial) {
-      conn.has_partial = true;
+    if (conn.in.empty()) {
       conn.partial.reset();
+    } else if (!conn.partial.has_value()) {
+      conn.partial.emplace();
     }
   }
 
   /// Move completed verdicts from the in-flight set into the write buffer.
-  void pump_completions(Conn& conn) {
+  void pump_completions(FrameConn& conn) {
     for (auto it = conn.inflight.begin();
          it != conn.inflight.end() && !conn.dead;) {
       if (it->fut.wait_for(std::chrono::seconds(0)) !=
@@ -437,7 +377,7 @@ struct TransportServer::Impl {
                 std::to_string(result.value().schema_digest)));
       }
       const double ms = it->since.elapsed_ms();
-      m_request_ms->observe(ms, it->ctx.trace_id);
+      m_request_ms.observe(ms, it->ctx.trace_id);
       if (it->ctx.valid()) {
         // Server-side wall time for the request (receipt -> response
         // enqueued), parented under the client's send span.
@@ -451,193 +391,46 @@ struct TransportServer::Impl {
     }
   }
 
-  void write_conn(Conn& conn) {
-    while (conn.wbuf_pending() > 0) {
-      auto io = conn.sock.write_some(conn.wbuf.data() + conn.woff,
-                                     conn.wbuf_pending());
-      if (io.would_block) break;
-      if (io.eof || !io.ok()) {
-        close_conn(conn);
-        return;
-      }
-      conn.woff += io.bytes;
-      c.bytes_written.fetch_add(io.bytes, std::memory_order_relaxed);
-      conn.idle.reset();
+  /// Completions out, then the slow-loris and idle deadlines (suspended
+  /// while a drain flushes the last responses).
+  void on_round(net::Connection& nconn) override {
+    auto& conn = static_cast<FrameConn&>(nconn);
+    pump_completions(conn);
+    loop.flush(conn);
+    if (conn.dead || loop.draining()) return;
+    if (conn.partial.has_value() &&
+        conn.partial->elapsed_ms() > config.read_timeout_ms) {
+      bump(c.read_timeouts, m_read_timeouts);
+      util::log_warn("net: closing slow-loris connection (partial frame ",
+                     conn.partial->elapsed_ms(), " ms old)");
+      loop.close(conn);
+    } else if (conn.inflight.empty() &&
+               conn.active.elapsed_ms() > config.idle_timeout_ms) {
+      bump(c.idle_timeouts, m_idle_timeouts);
+      loop.close(conn);
     }
-    if (conn.wbuf_pending() == 0 && !conn.wbuf.empty()) {
-      // Frame accounting on flush completion: pending/2 would be a guess,
-      // so count frames when the buffer fully drains instead of per write.
-      conn.wbuf.clear();
-      conn.woff = 0;
-      if (conn.close_after_flush) close_conn(conn);
-    } else if (conn.woff > 64 * 1024) {
-      conn.wbuf.erase(conn.wbuf.begin(), conn.wbuf.begin() + conn.woff);
-      conn.woff = 0;
-    }
-  }
-
-  void accept_ready() {
-    while (true) {
-      auto res = listener.accept_one();
-      if (res.would_block) break;
-      if (!res.status.is_ok()) {
-        c.accept_failures.fetch_add(1, std::memory_order_relaxed);
-        m_accept_failures->inc();
-        break;  // retry on the next poll round
-      }
-      if (conns.size() >= config.max_connections) {
-        // Admission control for connection storms: accept to drain the
-        // backlog, then close immediately — counted, bounded, no hang.
-        c.shed.fetch_add(1, std::memory_order_relaxed);
-        m_shed->inc();
-        continue;  // res.socket closes on scope exit
-      }
-      auto conn = std::make_unique<Conn>();
-      conn->sock = std::move(res.socket);
-      conns.push_back(std::move(conn));
-      c.accepted.fetch_add(1, std::memory_order_relaxed);
-      m_accepted->inc();
-    }
-  }
-
-  void scan_timeouts() {
-    for (auto& conn : conns) {
-      if (conn->dead) continue;
-      if (conn->has_partial &&
-          conn->partial.elapsed_ms() > config.read_timeout_ms) {
-        c.read_timeouts.fetch_add(1, std::memory_order_relaxed);
-        m_read_timeouts->inc();
-        util::log_warn("net: closing slow-loris connection (partial frame ",
-                       conn->partial.elapsed_ms(), " ms old)");
-        close_conn(*conn);
-        continue;
-      }
-      if (conn->inflight.empty() &&
-          conn->idle.elapsed_ms() > config.idle_timeout_ms) {
-        c.idle_timeouts.fetch_add(1, std::memory_order_relaxed);
-        m_idle_timeouts->inc();
-        close_conn(*conn);
-      }
-    }
-  }
-
-  void reap_dead() {
-    std::erase_if(conns, [](const std::unique_ptr<Conn>& conn) {
-      return conn->dead;
-    });
-    c.active.store(conns.size(), std::memory_order_relaxed);
-    m_active->set(static_cast<double>(conns.size()));
-  }
-
-  void loop() {
-    loop_running.store(true, std::memory_order_release);
-    bool draining = false;
-    util::Stopwatch drain_sw;
-    std::vector<struct pollfd> pfds;
-    std::vector<Conn*> pfd_conns;
-
-    while (true) {
-      if (!draining && stop_requested.load(std::memory_order_acquire)) {
-        // Graceful drain: stop accepting first; in-flight requests finish
-        // and flush below, then connections close.
-        draining = true;
-        drain_active.store(true, std::memory_order_release);
-        drain_sw.reset();
-        listener.close();
-      }
-      if (draining) {
-        bool busy = false;
-        for (auto& conn : conns) {
-          if (!conn->dead &&
-              (!conn->inflight.empty() || conn->wbuf_pending() > 0)) {
-            busy = true;
-            break;
-          }
-        }
-        if (!busy || drain_sw.elapsed_ms() > config.drain_timeout_ms) break;
-      }
-
-      pfds.clear();
-      pfd_conns.clear();
-      if (!draining && listener.valid()) {
-        pfds.push_back({listener.fd(), POLLIN, 0});
-        pfd_conns.push_back(nullptr);
-      }
-      bool any_inflight = false;
-      for (auto& conn : conns) {
-        if (conn->dead) continue;
-        short events = 0;
-        // During drain no new requests are read; only responses flush out.
-        if (!draining) events |= POLLIN;
-        if (conn->wbuf_pending() > 0) events |= POLLOUT;
-        if (!conn->inflight.empty()) any_inflight = true;
-        if (events == 0 && conn->inflight.empty()) continue;
-        if (events == 0) continue;  // in-flight only: completions pump below
-        pfds.push_back({conn->sock.fd(), events, 0});
-        pfd_conns.push_back(conn.get());
-      }
-
-      // In-flight verdicts are detected by polling their futures, so the
-      // poll timeout doubles as the completion latency bound: tight while
-      // work is outstanding, relaxed when the loop is only watching fds.
-      const int timeout_ms = any_inflight || draining ? 1 : 20;
-      int rc;
-      do {
-        rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
-      } while (rc < 0 && errno == EINTR);
-      if (rc < 0) {
-        util::log_error("net: poll failed: ", std::strerror(errno));
-        break;
-      }
-
-      for (std::size_t i = 0; i < pfds.size(); ++i) {
-        if (pfds[i].revents == 0) continue;
-        if (pfd_conns[i] == nullptr) {
-          accept_ready();
-          continue;
-        }
-        Conn& conn = *pfd_conns[i];
-        if (conn.dead) continue;
-        if (pfds[i].revents & (POLLERR | POLLNVAL)) {
-          close_conn(conn);
-          continue;
-        }
-        if (pfds[i].revents & (POLLIN | POLLHUP)) read_conn(conn);
-      }
-
-      for (auto& conn : conns) {
-        if (conn->dead) continue;
-        pump_completions(*conn);
-        if (!conn->dead && conn->wbuf_pending() > 0) write_conn(*conn);
-      }
-      if (!draining) scan_timeouts();
-      reap_dead();
-    }
-
-    for (auto& conn : conns) close_conn(*conn);
-    reap_dead();
-    listener.close();
-    loop_running.store(false, std::memory_order_release);
   }
 
   TransportSnapshot snapshot() const {
-    TransportSnapshot s;
-    s.accepted = c.accepted.load(std::memory_order_relaxed);
-    s.closed = c.closed.load(std::memory_order_relaxed);
-    s.accept_failures = c.accept_failures.load(std::memory_order_relaxed);
-    s.frames_read = c.frames_read.load(std::memory_order_relaxed);
-    s.frames_written = c.frames_written.load(std::memory_order_relaxed);
-    s.bytes_read = c.bytes_read.load(std::memory_order_relaxed);
-    s.bytes_written = c.bytes_written.load(std::memory_order_relaxed);
-    s.quarantined = c.quarantined.load(std::memory_order_relaxed);
-    s.shed = c.shed.load(std::memory_order_relaxed);
-    s.idle_timeouts = c.idle_timeouts.load(std::memory_order_relaxed);
-    s.read_timeouts = c.read_timeouts.load(std::memory_order_relaxed);
-    s.requests = c.requests.load(std::memory_order_relaxed);
-    s.responses_ok = c.responses_ok.load(std::memory_order_relaxed);
-    s.responses_error = c.responses_error.load(std::memory_order_relaxed);
-    s.active_connections = c.active.load(std::memory_order_relaxed);
-    return s;
+    const auto load = [](const auto& counter) {
+      return counter.load(std::memory_order_relaxed);
+    };
+    const net::EventLoop::Counters& l = loop.counters();
+    return {.accepted = load(l.accepted),
+            .closed = load(l.closed),
+            .accept_failures = load(l.accept_failures),
+            .frames_read = load(c.frames_read),
+            .frames_written = load(c.frames_written),
+            .bytes_read = load(l.bytes_read),
+            .bytes_written = load(l.bytes_written),
+            .quarantined = load(c.quarantined),
+            .shed = load(c.shed),
+            .idle_timeouts = load(c.idle_timeouts),
+            .read_timeouts = load(c.read_timeouts),
+            .requests = load(c.requests),
+            .responses_ok = load(c.responses_ok),
+            .responses_error = load(c.responses_error),
+            .active_connections = load(l.open)};
   }
 };
 
@@ -648,35 +441,19 @@ TransportServer::TransportServer(DetectionServer& server,
 TransportServer::~TransportServer() { stop(); }
 
 util::Status TransportServer::start() {
-  if (impl_->started.exchange(true)) {
-    return Status::error(ErrorCode::kFailedPrecondition,
-                         "TransportServer already started");
-  }
-  auto st = impl_->listener.listen(impl_->config.host, impl_->config.port);
-  if (!st.is_ok()) {
-    impl_->started.store(false);
-    return st.with_context("TransportServer::start");
-  }
-  impl_->listener.set_fault_injection(impl_->config.fault_injection);
-  impl_->io_pool.submit([this] { impl_->loop(); });
-  return Status::ok();
+  return impl_->loop
+      .start(impl_->config.host, impl_->config.port,
+             impl_->config.fault_injection)
+      .with_context("TransportServer::start");
 }
 
-void TransportServer::stop() {
-  impl_->stop_requested.store(true, std::memory_order_release);
-  impl_->io_pool.wait_idle();
-}
+void TransportServer::stop() { impl_->loop.stop(); }
 
-bool TransportServer::running() const {
-  return impl_->loop_running.load(std::memory_order_acquire);
-}
+bool TransportServer::running() const { return impl_->loop.running(); }
 
-bool TransportServer::draining() const {
-  return impl_->drain_active.load(std::memory_order_acquire) &&
-         impl_->loop_running.load(std::memory_order_acquire);
-}
+bool TransportServer::draining() const { return impl_->loop.draining(); }
 
-std::uint16_t TransportServer::port() const { return impl_->listener.port(); }
+std::uint16_t TransportServer::port() const { return impl_->loop.port(); }
 
 const TransportConfig& TransportServer::config() const {
   return impl_->config;

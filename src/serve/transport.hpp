@@ -1,13 +1,13 @@
 // Remote serving transport: the wire path in front of DetectionServer.
 //
-// TransportServer binds a loopback/IPv4 TCP listener and runs one
-// poll()-multiplexed accept/read/write loop (hosted on its own
-// util::ThreadPool) speaking the length-prefixed frame protocol from
-// net/frame.hpp. Decoded detect requests are bridged into an existing
-// DetectionServer, so the queue's admission control, micro-batching, and
-// kDeadlineExceeded semantics compose end-to-end: the wire layer adds its
-// own failure domain (malformed frames, slow-loris peers, connection
-// storms, mid-request disconnects) and its own containment:
+// TransportServer binds a loopback/IPv4 TCP listener and speaks the
+// length-prefixed frame protocol from net/frame.hpp as a handler of its own
+// net::EventLoop thread (the poll() loop the admin plane runs too). Decoded
+// detect requests are bridged into an existing DetectionServer, so the
+// queue's admission control, micro-batching, and kDeadlineExceeded
+// semantics compose end-to-end: the wire layer adds its own failure domain
+// (malformed frames, slow-loris peers, connection storms, mid-request
+// disconnects) and its own containment:
 //
 //  - strict frame validation: malformed/oversized/checksum-failed frames
 //    are quarantined — counted, answered with an error frame when the

@@ -57,7 +57,9 @@ void send_str(net::Socket& s, const std::string& req,
 
 /// Read until the peer closes (HTTP/1.0 is close-after-response, so EOF
 /// delimits the body). Returns what arrived; empty on timeout-with-nothing.
-std::string recv_until_eof(net::Socket& s, double timeout_ms = 3000) {
+/// `eof`, when given, reports whether the peer closed within the timeout.
+std::string recv_until_eof(net::Socket& s, double timeout_ms = 3000,
+                           bool* eof = nullptr) {
   std::string resp;
   util::Stopwatch sw;
   while (sw.elapsed_ms() < timeout_ms) {
@@ -66,7 +68,10 @@ std::string recv_until_eof(net::Socket& s, double timeout_ms = 3000) {
     if (ev.value() == 0) continue;
     std::uint8_t chunk[4096];
     auto io = s.read_some(chunk, sizeof(chunk));
-    if (!io.ok() || io.eof) break;
+    if (!io.ok() || io.eof) {
+      if (eof != nullptr) *eof = io.eof;
+      break;
+    }
     resp.append(reinterpret_cast<const char*>(chunk), io.bytes);
   }
   return resp;
@@ -319,6 +324,58 @@ TEST(Admin, OversizedRequestIs400) {
   const std::string resp = recv_until_eof(s);
   EXPECT_EQ(resp.rfind("HTTP/1.0 400", 0), 0u) << resp;
   EXPECT_NE(resp.find("request too large"), std::string::npos);
+}
+
+// Only the first max_request_bytes may hold the header: one that ends
+// within them is served, whatever arrives behind it in the same read.
+TEST(Admin, HeaderWithinCapIsServedDespiteTrailingBytes) {
+  AdminConfig cfg;
+  cfg.max_request_bytes = 64;
+  AdminServer admin(cfg);
+  ASSERT_TRUE(admin.start().is_ok());
+  auto sock = net::connect_to("127.0.0.1", admin.port(), 2000);
+  ASSERT_TRUE(sock.is_ok());
+  net::Socket s = std::move(sock).value();
+  send_str(s, "GET /healthz HTTP/1.0\r\n\r\n" + std::string(512, 'A'));
+  const std::string resp = recv_until_eof(s);
+  EXPECT_EQ(resp.rfind("HTTP/1.0 200", 0), 0u) << resp;
+}
+
+// RFC 1945 §8.2: a HEAD response carries the GET headers, Content-Length
+// included, and no body.
+TEST(Admin, HeadAnswersHeadersWithoutBody) {
+  AdminServer admin;
+  ASSERT_TRUE(admin.start().is_ok());
+  auto sock = net::connect_to("127.0.0.1", admin.port(), 2000);
+  ASSERT_TRUE(sock.is_ok());
+  net::Socket s = std::move(sock).value();
+  send_str(s, "HEAD /healthz HTTP/1.0\r\n\r\n");
+  const std::string resp = recv_until_eof(s);
+  EXPECT_EQ(resp.rfind("HTTP/1.0 200", 0), 0u) << resp;
+  EXPECT_NE(resp.find("Content-Length: 3\r\n"), std::string::npos) << resp;
+  const auto header_end = resp.find("\r\n\r\n");
+  ASSERT_NE(header_end, std::string::npos) << resp;
+  EXPECT_EQ(resp.size(), header_end + 4) << "HEAD carried a body: " << resp;
+}
+
+// A request that stalls mid-header is closed at read_timeout_ms, unanswered,
+// and counted as a slow client.
+TEST(Admin, StalledRequestHeaderIsDisconnectedAndCounted) {
+  AdminConfig cfg;
+  cfg.read_timeout_ms = 80.0;
+  AdminServer admin(cfg);
+  ASSERT_TRUE(admin.start().is_ok());
+  util::Stopwatch sw;
+  auto sock = net::connect_to("127.0.0.1", admin.port(), 2000);
+  ASSERT_TRUE(sock.is_ok());
+  net::Socket s = std::move(sock).value();
+  send_str(s, "GET /healthz HTTP/1.0\r\n");  // no blank line: header unfinished
+  bool eof = false;
+  EXPECT_EQ(recv_until_eof(s, 5000, &eof), "");
+  EXPECT_TRUE(eof);
+  EXPECT_GE(sw.elapsed_ms(), cfg.read_timeout_ms);
+  ASSERT_TRUE(spin_until([&] { return admin.stats().slow_clients >= 1; }));
+  EXPECT_EQ(admin.stats().requests, 0u);
 }
 
 // --- Fault points ----------------------------------------------------------

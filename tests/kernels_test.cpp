@@ -86,7 +86,10 @@ void naive_gemm(const kernels::GemmSpec& s, float* c) {
 
 // Ragged shapes on the compiled tile: m runs past one kMc row block, and
 // a third of the trials each add a second kNc column block or a second
-// kKc depth block.
+// kKc depth block. C carries kMr - 1 guard rows past m (as many as a tile
+// can have dead rows) that neither path may write, so a store to a dead
+// tile row fails the whole-buffer comparison instead of corrupting the
+// heap.
 TEST(Gemm, RandomizedSweepMatchesNaiveAcrossVariants) {
   util::Rng rng(42);
   kernels::KernelScratch scratch;
@@ -114,6 +117,7 @@ TEST(Gemm, RandomizedSweepMatchesNaiveAcrossVariants) {
     spec.ldc = n;
     const int bias_mode = static_cast<int>(rng.uniform_int(0, 3));
     std::vector<float> c0 = random_vec(rng, m * n);  // accumulate seed
+    c0.resize((m + kernels::kMr - 1) * n, 1234.5f);   // guard rows
     if (bias_mode == 0) spec.bias_row = bias.data();
     else if (bias_mode == 1) spec.bias_col = bias.data() + m;
     else if (bias_mode == 2) spec.accumulate = true;

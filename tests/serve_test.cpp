@@ -452,6 +452,39 @@ TEST(Server, ProgramDeadlineCoversFeaturization) {
   std::filesystem::remove_all(dir);
 }
 
+// A program that expires while it is featurized fails at once and takes no
+// queue slot: behind a paused worker and a one-slot queue, the live row
+// submitted after it is still admitted and served.
+TEST(Server, ExpiredProgramTakesNoQueueSlot) {
+  const auto dir = write_checkpoint("expired_slot", 89);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 1;
+  cfg.feature_cache_capacity = 0;
+  serve::DetectionServer server(reg, cfg);
+  server.pause();
+
+  auto late = server.submit(skip_chain(200), /*deadline_ms=*/0.001);
+  auto live = server.submit(std::vector<double>(kDim, 1.0));
+  ASSERT_EQ(late.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const auto expired = late.get();
+  ASSERT_FALSE(expired.is_ok());
+  EXPECT_EQ(expired.status().code(), ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(server.queue_depth(), 1u);
+
+  server.resume();
+  const auto served = live.get();
+  EXPECT_TRUE(served.is_ok()) << served.status().to_string();
+  const auto snap = server.stats();
+  EXPECT_EQ(snap.expired, 1u);
+  EXPECT_EQ(snap.rejected_full, 0u);
+  EXPECT_EQ(snap.completed, 1u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Server, NoActiveModelRejectsImmediately) {
   serve::ModelRegistry reg;  // empty
   serve::ServerConfig cfg;

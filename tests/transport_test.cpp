@@ -592,6 +592,33 @@ TEST(Transport, GracefulDrainFlushesInFlightWithoutDropsOrDoubles) {
   EXPECT_EQ(snap.frames_written, static_cast<std::uint64_t>(kClients));
 }
 
+// stop() bounds its drain: a request the paused server never answers holds
+// stop() for drain_timeout_ms plus one loop tick, then the connection is
+// force-closed and its peer sees EOF. The upper bound's margin absorbs
+// scheduling on a loaded or sanitized run.
+TEST(Transport, DrainTimeoutBoundsStopOnUnansweredRequest) {
+  serve::TransportConfig tcfg;
+  tcfg.drain_timeout_ms = 150.0;
+  Rig rig({}, tcfg);
+  rig.server->pause();
+  net::Socket sock = raw_connect(rig.transport->port());
+  Rng rng(97);
+  send_all(sock, make_request_bytes(1, synthetic_row(rng)));
+  ASSERT_TRUE(spin_until([&] { return rig.server->queue_depth() == 1; }));
+
+  util::Stopwatch sw;
+  rig.transport->stop();
+  const double stop_ms = sw.elapsed_ms();
+  EXPECT_GE(stop_ms, tcfg.drain_timeout_ms);
+  EXPECT_LT(stop_ms, tcfg.drain_timeout_ms + 20.0 + 500.0);
+  EXPECT_FALSE(rig.transport->running());
+  EXPECT_TRUE(wait_for_eof(sock));
+  const auto snap = rig.transport->stats();
+  EXPECT_EQ(snap.responses_ok + snap.responses_error, 0u);
+  EXPECT_EQ(snap.active_connections, 0u);
+  rig.server->resume();
+}
+
 TEST(Transport, StopIsIdempotentAndRefusesNewConnections) {
   Rig rig;
   const auto port = rig.transport->port();
