@@ -4,13 +4,15 @@
 // kernels::gemm) against the retained seed-era loop nests
 // (kernels/reference.hpp, in the test-support library) on the paper CNN's
 // layer shapes — the exact forward/backward math one training step and
-// one batched Model::infer spend their time in. Three timed paths per
+// one batched Model::infer spend their time in. Four timed paths per
 // shape:
 //
 //   - reference: the seed loops — the pre-kernel baseline;
-//   - tuned: the kernel layer on its one compiled register tile (the JSON
-//     keeps the `tuned` key names that bench/baselines and
-//     tools/bench_check read);
+//   - tuned: the kernel layer on the register tile the CPU check picked
+//     (the JSON keeps the `tuned` key names that bench/baselines and
+//     tools/bench_check read; `kernel_config` names the tile);
+//   - portable: the kernel layer pinned to the four-lane tile every CPU
+//     runs (informational; equal to tuned where that is the picked tile);
 //   - scalar: the kernel layer forced onto the scalar chain, isolating
 //     how much of the win is tiling vs im2col lowering.
 //
@@ -291,7 +293,7 @@ int main(int argc, char** argv) {
   struct Row {
     std::string label;
     std::size_t batch;
-    double ref_ms, tuned_ms, scalar_ms;
+    double ref_ms, tuned_ms, portable_ms, scalar_ms;
     bool infer_shape;
     double speedup() const { return tuned_ms > 0 ? ref_ms / tuned_ms : 0.0; }
   };
@@ -311,6 +313,10 @@ int main(int argc, char** argv) {
     const int case_iters = iters * static_cast<int>(batch / row.batch);
     row.ref_ms = best_of(reps, case_iters, c, buf, /*reference=*/true);
     row.tuned_ms = best_of(reps, case_iters, c, buf, /*reference=*/false);
+    const auto active_tile = kernels::detail::active_tile();
+    (void)kernels::detail::pin_tile(kernels::detail::Tile::kPortable);
+    row.portable_ms = best_of(reps, case_iters, c, buf, /*reference=*/false);
+    (void)kernels::detail::pin_tile(active_tile);
     (void)kernels::set_active_config(scalar);
     row.scalar_ms = best_of(reps, case_iters, c, buf, /*reference=*/false);
     (void)kernels::set_active_config(tiled);
@@ -323,10 +329,10 @@ int main(int argc, char** argv) {
       infer_ref_ms += row.ref_ms;
       infer_tuned_ms += row.tuned_ms;
     }
-    std::printf("%-13s ref %8.3f ms  tiled %8.3f ms (%5.2fx)  scalar %8.3f "
-                "ms (%5.2fx)\n",
+    std::printf("%-13s ref %8.3f ms  tiled %8.3f ms (%5.2fx)  portable "
+                "%8.3f ms  scalar %8.3f ms (%5.2fx)\n",
                 row.label.c_str(), row.ref_ms, row.tuned_ms, row.speedup(),
-                row.scalar_ms,
+                row.portable_ms, row.scalar_ms,
                 row.scalar_ms > 0 ? row.ref_ms / row.scalar_ms : 0.0);
   }
 
@@ -350,7 +356,8 @@ int main(int argc, char** argv) {
     const auto& r = rows[i];
     out << "    {\"label\": \"" << r.label << "\", \"batch\": " << r.batch
         << ", \"reference_ms\": " << r.ref_ms << ", \"tuned_ms\": "
-        << r.tuned_ms << ", \"scalar_ms\": " << r.scalar_ms
+        << r.tuned_ms << ", \"portable_ms\": " << r.portable_ms
+        << ", \"scalar_ms\": " << r.scalar_ms
         << ", \"speedup\": " << r.speedup() << ", \"infer_shape\": "
         << (r.infer_shape ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";

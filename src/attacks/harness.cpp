@@ -92,24 +92,42 @@ AttackRow run_attack(Attack& attack, ml::DifferentiableClassifier& clf,
 
     // Serial scan in row order: quarantine gate (a NaN/Inf row would poison
     // gradients; a width mismatch would index out of bounds) and the
-    // correctly-classified eligibility filter.
+    // correctly-classified eligibility filter. The filter scores one batch
+    // of candidates per logits_batch call, at most as many as the wave
+    // still lacks: the wave fills only when every candidate of the last
+    // batch is eligible, so the scan consumes exactly the rows that a
+    // row-at-a-time predict() scan would.
     std::vector<std::size_t> wave;
     while (pos < rows.size() && wave.size() < need) {
-      const std::size_t s = pos++;
-      const auto& x = rows[s];
-      if (x.size() != clf.input_dim() || !row_finite(x)) {
-        if (opts.strict) {
-          throw std::invalid_argument("run_attack: malformed input row " +
-                                      std::to_string(s));
+      std::vector<std::size_t> candidates;
+      while (pos < rows.size() && wave.size() + candidates.size() < need) {
+        const std::size_t s = pos++;
+        const auto& x = rows[s];
+        if (x.size() != clf.input_dim() || !row_finite(x)) {
+          if (opts.strict) {
+            throw std::invalid_argument("run_attack: malformed input row " +
+                                        std::to_string(s));
+          }
+          ++out.quarantined;
+          util::log_warn("attack harness: quarantined malformed input row ",
+                         s);
+          continue;
         }
-        ++out.quarantined;
-        util::log_warn("attack harness: quarantined malformed input row ", s);
+        candidates.push_back(s);
+      }
+      if (!opts.skip_already_misclassified || candidates.empty()) {
+        wave.insert(wave.end(), candidates.begin(), candidates.end());
         continue;
       }
-      if (opts.skip_already_misclassified && clf.predict(x) != labels[s]) {
-        continue;
+      std::vector<std::vector<double>> xs;
+      xs.reserve(candidates.size());
+      for (const std::size_t s : candidates) xs.push_back(rows[s]);
+      const auto z = clf.logits_batch(xs);
+      for (std::size_t k = 0; k < candidates.size(); ++k) {
+        if (ml::argmax(z[k]) == labels[candidates[k]]) {
+          wave.push_back(candidates[k]);
+        }
       }
-      wave.push_back(s);
     }
     if (wave.empty()) break;
 

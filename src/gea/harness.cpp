@@ -81,18 +81,33 @@ GeaHarness::Sweep GeaHarness::sweep(
                                  : opts.max_samples - out.predicted.size();
 
     // Serial scan in corpus order: source filter plus the correctly-
-    // classified eligibility check.
+    // classified eligibility check, which scores one batch of sources per
+    // logits_batch call, at most as many as the wave still lacks, so the
+    // scan consumes exactly the samples a one-at-a-time scan would (see
+    // run_attack).
     std::vector<std::size_t> wave;
     while (pos < samples.size() && wave.size() < need) {
-      const std::size_t i = pos++;
-      const dataset::Sample& s = samples[i];
-      if (i == target_index || !is_source(s)) continue;
-      if (opts.skip_already_misclassified) {
-        const auto t = scaler_->transform(s.features);
-        const std::vector<double> scaled_orig(t.begin(), t.end());
-        if (clf_->predict(scaled_orig) != s.label) continue;
+      std::vector<std::size_t> candidates;
+      while (pos < samples.size() && wave.size() + candidates.size() < need) {
+        const std::size_t i = pos++;
+        if (i != target_index && is_source(samples[i])) candidates.push_back(i);
       }
-      wave.push_back(i);
+      if (!opts.skip_already_misclassified || candidates.empty()) {
+        wave.insert(wave.end(), candidates.begin(), candidates.end());
+        continue;
+      }
+      std::vector<std::vector<double>> xs;
+      xs.reserve(candidates.size());
+      for (const std::size_t i : candidates) {
+        const auto t = scaler_->transform(samples[i].features);
+        xs.emplace_back(t.begin(), t.end());
+      }
+      const auto z = clf_->logits_batch(xs);
+      for (std::size_t k = 0; k < candidates.size(); ++k) {
+        if (ml::argmax(z[k]) == samples[candidates[k]].label) {
+          wave.push_back(candidates[k]);
+        }
+      }
     }
     if (wave.empty()) break;
 

@@ -62,6 +62,26 @@ void im2col(const Conv1DShape& s, const float* x, float* col) {
   }
 }
 
+/// Whether a dense product at batch n runs transposed, so that W is the
+/// in-place A operand and only the activation operand gets packed. Below
+/// kMr rows the direct path already reads W in place. Above, the plain
+/// mapping packs all of W (in * out floats) per call, and the transposed
+/// one packs the activations and stages the product instead, n * (in +
+/// out) floats for the forward and the input gradient alike; it runs where
+/// W is the larger. Both mappings run the same k-ordered chains.
+bool dense_transposed(std::size_t n, std::size_t in, std::size_t out) {
+  return n >= kMr && in * out > n * (in + out);
+}
+
+/// dst (cols x rows) = src^T, for src (rows x cols) row-major.
+void transpose(const float* src, std::size_t rows, std::size_t cols,
+               float* dst) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = src + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) dst[c * rows + r] = row[c];
+  }
+}
+
 }  // namespace
 
 void conv1d_forward(const Conv1DShape& s, const float* x, const float* w,
@@ -198,19 +218,36 @@ void conv1d_backward(const Conv1DShape& s, const float* x, const float* w,
 
 void dense_forward(std::size_t n, std::size_t in, std::size_t out,
                    const float* x, const float* w, const float* b, float* y) {
+  // x (n, in) and W (out, in) are both row-major with `in` columns; the
+  // B operand, whichever it is, is read as its transpose.
   GemmSpec spec;
-  spec.m = n;
-  spec.n = out;
   spec.k = in;
-  spec.a = x;
   spec.lda = in;
-  spec.b = w;  // (out, in) row-major read as its (in, out) transpose
   spec.ldb = in;
   spec.trans_b = true;
-  spec.c = y;
-  spec.ldc = out;
-  spec.bias_col = b;
+  if (!dense_transposed(n, in, out)) {
+    // y = X * W^T.
+    spec.m = n;
+    spec.n = out;
+    spec.a = x;
+    spec.b = w;
+    spec.c = y;
+    spec.ldc = out;
+    spec.bias_col = b;
+    gemm(spec);
+    return;
+  }
+  // y^T = W * X^T: W is the in-place A.
+  float* yt = KernelScratch::tls().cbuf(out * n);
+  spec.m = out;
+  spec.n = n;
+  spec.a = w;
+  spec.b = x;
+  spec.c = yt;
+  spec.ldc = n;
+  spec.bias_row = b;
   gemm(spec);
+  transpose(yt, out, n, y);
 }
 
 void dense_backward(std::size_t n, std::size_t in, std::size_t out,
@@ -242,18 +279,36 @@ void dense_backward(std::size_t n, std::size_t in, std::size_t out,
     gemm(wspec);
   }
 
-  // grad_in = G * W: (n x out) * (out x in).
   GemmSpec xspec;
-  xspec.m = n;
-  xspec.n = in;
   xspec.k = out;
-  xspec.a = grad_out;
-  xspec.lda = out;
-  xspec.b = w;
-  xspec.ldb = in;
-  xspec.c = grad_in;
-  xspec.ldc = in;
+  if (!dense_transposed(n, in, out)) {
+    // grad_in = G * W: (n x out) * (out x in).
+    xspec.m = n;
+    xspec.n = in;
+    xspec.a = grad_out;
+    xspec.lda = out;
+    xspec.b = w;
+    xspec.ldb = in;
+    xspec.c = grad_in;
+    xspec.ldc = in;
+    gemm(xspec);
+    return;
+  }
+  // grad_in^T = W^T * G^T: W (out, in) is the in-place A read as its
+  // transpose, G (n, out) likewise the packed B.
+  float* gt = KernelScratch::tls().cbuf(in * n);
+  xspec.m = in;
+  xspec.n = n;
+  xspec.a = w;
+  xspec.lda = in;
+  xspec.trans_a = true;
+  xspec.b = grad_out;
+  xspec.ldb = out;
+  xspec.trans_b = true;
+  xspec.c = gt;
+  xspec.ldc = n;
   gemm(xspec);
+  transpose(gt, in, n, grad_in);
 }
 
 }  // namespace gea::kernels

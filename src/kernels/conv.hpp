@@ -9,14 +9,19 @@
 // order, and runs two GEMMs per batch: the weight gradient G * col^T
 // accumulated over k = n * l_out (sample-major, position-ascending, the
 // seed loop's order), and the input gradient W^T * G, which col2im
-// scatters back per sample. Dense forward/backward are direct GEMM
-// mappings.
+// scatters back per sample. Dense forward/backward map to one GEMM each:
+// y = x * W^T + b, gw += G^T * x and dx = G * W. At batch n >= kMr, where
+// W (in * out floats) outweighs the n * (in + out) floats of the
+// activation operand and the product, the forward and the input gradient
+// run transposed instead (y^T = W * x^T + b, dx^T = W^T * G^T): W is then
+// the GEMM's in-place A operand, only the activations are packed, and the
+// product is staged in KernelScratch and transposed into place.
 //
 // Numeric contract (see kernels/reference.hpp for the preserved seed
 // loops): every output element is one k-ordered accumulation chain, so
-// results are independent of batch size and tile configuration —
-// per-sample forward, batched infer, and any tuning of the active config
-// all agree bitwise with each other, as do one batch-N backward and N
+// results are independent of batch size, mapping and register tile —
+// per-sample forward, batched infer, and every compiled tile all agree
+// bitwise with each other, as do one batch-N backward and N
 // single-sample backward calls that accumulate gw and gb in sample
 // order — and ULP-bounded against the seed loops, whose only differences
 // are per-input-channel regrouping and skipped zero terms.

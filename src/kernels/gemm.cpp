@@ -219,27 +219,32 @@ void pack_b_block(const GemmSpec& s, std::size_t p0, std::size_t kb,
   }
 }
 
-/// MR x NR register tile over a kb-deep packed B panel. A is read in
-/// place: tile row r, depth kk is a[r * a_row + kk * a_k], which covers
-/// plain A (a_row = lda, a_k = 1) and the transposed view (a_row = 1,
-/// a_k = lda). The accumulators stay in vector registers for all of kb.
-/// A full tile loads and stores C in place. An edge tile (mv < MR or
-/// nv < NR) runs on a zeroed copy of its valid lanes and writes only those
-/// back; rows past mv re-read row mv - 1, so no read leaves the operand,
-/// and B's zero-padded columns feed the dead columns. Every chain runs the
-/// same op sequence wherever its element fell in the tiling, which is what
-/// makes results independent of batch position.
-template <int MR, int NR>
-void micro_tile(std::size_t kb, const float* a, std::size_t a_row,
-                std::size_t a_k, const float* __restrict bp, float* c,
-                std::size_t ldc, std::size_t mv, std::size_t nv) {
-  constexpr int NV = NR / static_cast<int>(kLanes);
+/// MR x kNr register tile over a kb-deep packed B panel, with vectors of
+/// type V (kNr / lanes per tile row). A is read in place: tile row r,
+/// depth kk is a[r * a_row + kk * a_k], which covers plain A (a_row = lda,
+/// a_k = 1) and the transposed view (a_row = 1, a_k = lda). The
+/// accumulators stay in vector registers for all of kb. A full tile loads
+/// and stores C in place. An edge tile (mv < MR or nv < kNr) runs on a
+/// zeroed copy of its valid lanes and writes only those back; rows past mv
+/// re-read row mv - 1, so no read leaves the operand, and B's zero-padded
+/// columns feed the dead columns. Every chain runs the same op sequence
+/// wherever its element fell in the tiling, which is what makes results
+/// independent of batch position. Always inlined, so each compilation
+/// below builds it for its own ISA; vectors cross no call boundary.
+template <typename V, int MR>
+[[gnu::always_inline]] inline void micro_tile(
+    std::size_t kb, const float* a, std::size_t a_row, std::size_t a_k,
+    const float* __restrict bp, float* c, std::size_t ldc, std::size_t mv,
+    std::size_t nv) {
+  constexpr int NR = static_cast<int>(kNr);
+  constexpr int L = static_cast<int>(sizeof(V) / sizeof(float));
+  constexpr int NV = NR / L;
   const float* arow[MR];
 #pragma GCC unroll 8
   for (int r = 0; r < MR; ++r) {
     arow[r] = a + std::min(static_cast<std::size_t>(r), mv - 1) * a_row;
   }
-  const bool full = mv == MR && nv == NR;
+  const bool full = mv == MR && nv == kNr;
   float edge[MR * NR];
   float* tile = full ? c : edge;
   const std::size_t ldt = full ? ldc : NR;
@@ -249,21 +254,24 @@ void micro_tile(std::size_t kb, const float* a, std::size_t a_row,
       std::copy(c + r * ldc, c + r * ldc + nv, edge + r * NR);
     }
   }
-  v4f acc[MR][NV];
+  V acc[MR][NV];
 #pragma GCC unroll 8
   for (int r = 0; r < MR; ++r) {
 #pragma GCC unroll 4
-    for (int q = 0; q < NV; ++q) acc[r][q] = load4(tile + r * ldt + q * kLanes);
+    for (int q = 0; q < NV; ++q) {
+      std::memcpy(&acc[r][q], tile + r * ldt + q * L, sizeof(V));
+    }
   }
   for (std::size_t kk = 0; kk < kb; ++kk) {
-    const float* brow = bp + kk * NR;
-    v4f b[NV];
+    V b[NV];
 #pragma GCC unroll 4
-    for (int q = 0; q < NV; ++q) b[q] = load4(brow + q * kLanes);
+    for (int q = 0; q < NV; ++q) {
+      std::memcpy(&b[q], bp + kk * NR + q * L, sizeof(V));
+    }
     const std::size_t off = kk * a_k;
 #pragma GCC unroll 8
     for (int r = 0; r < MR; ++r) {
-      const v4f av = splat(arow[r][off]);
+      const float av = arow[r][off];  // broadcast to every lane
 #pragma GCC unroll 4
       for (int q = 0; q < NV; ++q) acc[r][q] += av * b[q];
     }
@@ -271,7 +279,9 @@ void micro_tile(std::size_t kb, const float* a, std::size_t a_row,
 #pragma GCC unroll 8
   for (int r = 0; r < MR; ++r) {
 #pragma GCC unroll 4
-    for (int q = 0; q < NV; ++q) store4(tile + r * ldt + q * kLanes, acc[r][q]);
+    for (int q = 0; q < NV; ++q) {
+      std::memcpy(tile + r * ldt + q * L, &acc[r][q], sizeof(V));
+    }
   }
   if (!full) {
     for (std::size_t r = 0; r < mv; ++r) {
@@ -280,7 +290,13 @@ void micro_tile(std::size_t kb, const float* a, std::size_t a_row,
   }
 }
 
-void tiled_gemm(const GemmSpec& s, KernelScratch& scratch) {
+/// The blocked loops around micro_tile<V, MR>. Every tile shares the
+/// packed-B format and the cache blocks; only the register blocking
+/// differs.
+template <typename V, int MR>
+[[gnu::always_inline]] inline void tiled_gemm(const GemmSpec& s,
+                                              KernelScratch& scratch) {
+  constexpr auto mr = static_cast<std::size_t>(MR);
   // A is read in place: A[i][p] is a[i * a_row + p * a_k].
   const std::size_t a_row = s.trans_a ? 1 : s.lda;
   const std::size_t a_k = s.trans_a ? s.lda : 1;
@@ -301,16 +317,35 @@ void tiled_gemm(const GemmSpec& s, KernelScratch& scratch) {
           const std::size_t j = j0 + jq * kNr;
           const std::size_t nv = std::min(kNr, s.n - j);
           const float* bpanel = bp + jq * kNr * kb;
-          for (std::size_t i = i0; i < i_end; i += kMr) {
-            micro_tile<kMr, kNr>(kb, s.a + i * a_row + p0 * a_k, a_row, a_k,
-                                 bpanel, s.c + i * s.ldc + j, s.ldc,
-                                 std::min(kMr, i_end - i), nv);
+          for (std::size_t i = i0; i < i_end; i += mr) {
+            micro_tile<V, MR>(kb, s.a + i * a_row + p0 * a_k, a_row, a_k,
+                              bpanel, s.c + i * s.ldc + j, s.ldc,
+                              std::min(mr, i_end - i), nv);
           }
         }
       }
     }
   }
 }
+
+void tiled_gemm_portable(const GemmSpec& s, KernelScratch& scratch) {
+  tiled_gemm<v4f, static_cast<int>(kMr)>(s, scratch);
+}
+
+#if defined(__x86_64__)
+// The same tile with eight lanes, compiled for AVX2 by a function-level
+// target (a whole translation unit built with -mavx2 could leave AVX2
+// copies of shared inline helpers for the linker to pick program-wide).
+// "avx2" does not enable FMA, and gea_kernels builds with
+// -ffp-contract=off, so every multiply and add rounds on its own, as in
+// the scalar chain.
+using v8f = float __attribute__((vector_size(32)));
+
+__attribute__((target("avx2"))) void tiled_gemm_avx2(const GemmSpec& s,
+                                                     KernelScratch& scratch) {
+  tiled_gemm<v8f, static_cast<int>(kMrWide)>(s, scratch);
+}
+#endif
 
 /// Registry handles for the kernel-layer metrics, resolved once.
 struct KernelMetrics {
@@ -336,8 +371,12 @@ void gemm(const GemmSpec& spec, const KernelConfig& cfg,
     scalar_gemm(spec);
   } else if (spec.m < kMr) {
     direct_gemm(spec);
+#if defined(__x86_64__)
+  } else if (detail::active_tile() == detail::Tile::kAvx2) {
+    tiled_gemm_avx2(spec, scratch);
+#endif
   } else {
-    tiled_gemm(spec, scratch);
+    tiled_gemm_portable(spec, scratch);
   }
 }
 

@@ -3,20 +3,25 @@
 // One entry point owns the dense-math hot path: Conv1D (via im2col
 // lowering, see kernels/conv.hpp) and Dense forward/backward/batched-infer
 // all reduce to gemm() calls. The implementation is a three-level blocking
-// scheme (BLIS-style) with one compiled tiling (kernels/config.hpp): B is
+// scheme (BLIS-style) with one set of blocks (kernels/config.hpp): B is
 // packed into kNr-wide column panels per (kKc x kNc) block, kMc-row blocks
-// of C reuse each packed panel, and a kMr x kNr register-tile microkernel
-// walks the shared dimension with its accumulators in vector registers
-// (four-lane GCC/Clang vector extensions, so no ISA flag). A is never
-// packed: the microkernel reads it in place through per-row pointers and
-// a k-stride, which covers plain A (conv weights, activations) and the
-// transposed view (W^T in the conv input gradient, G^T in the dense
-// weight gradient) alike, so a weight matrix costs no copy per call and
-// no cache that weight updates would have to invalidate. Products with fewer rows than the register tile
-// (m < kMr: dense layers at batch 1-3) take an unpacked direct path that
-// keeps a block of C in registers across k, or runs 16 dot products side
-// by side through in-register 4 x 4 transposes of the transposed B; the
-// choice depends on the shape alone.
+// of C reuse each packed panel, and a register-tile microkernel walks the
+// shared dimension with its accumulators in vector registers (GCC/Clang
+// vector extensions). The one tile template is compiled twice: kMr x kNr
+// with four-lane vectors (SSE2/NEON, every CPU) and, on x86-64, kMrWide x
+// kNr with eight-lane vectors under a function-level AVX2 target; a CPU
+// check picks the tile once. The library builds with -ffp-contract=off
+// and never targets FMA, so every multiply and add rounds on its own.
+// A is never packed: the microkernel reads it in place through per-row
+// pointers and a k-stride, which covers plain A (conv weights,
+// activations) and the transposed view (W^T in the conv and dense input
+// gradients, G^T in the dense weight gradient) alike, so a weight matrix
+// costs no copy per call and no cache that weight updates would have to
+// invalidate. Products with fewer rows than the four-lane tile (m < kMr:
+// dense layers at batch 1-3) take an unpacked direct path that keeps a
+// block of C in registers across k, or runs 16 dot products side by side
+// through in-register 4 x 4 transposes of the transposed B; the choice
+// depends on the shape alone.
 //
 // Floating-point contract — the property every caller leans on:
 //
@@ -28,9 +33,10 @@
 // per column block and partial register tiles run the exact same unrolled
 // code as full ones (zero-padded B panels, dead A rows re-reading the last
 // live row, masked stores). Consequently the result is independent of
-// the tiling, the batch position an element lands in, and whether the tiled, direct or scalar path ran — which is
-// what keeps batched inference bitwise-identical to per-sample forward,
-// and the whole layer ULP-bounded against the seed loops.
+// the tiling, the batch position an element lands in, the tile the CPU
+// check picked, and whether the tiled, direct or scalar path ran — which
+// is what keeps batched inference bitwise-identical to per-sample
+// forward, and the whole layer ULP-bounded against the seed loops.
 #pragma once
 
 #include <cstddef>
@@ -60,7 +66,8 @@ struct GemmSpec {
   bool accumulate = false;          // C += A*B (bias_* must be null)
 };
 
-/// Run the GEMM on the path `cfg` names, with an explicit scratch arena.
+/// Run the GEMM on the path `cfg` names (the tiled path on the active
+/// tile, see kernels::detail), with an explicit scratch arena.
 void gemm(const GemmSpec& spec, const KernelConfig& cfg,
           KernelScratch& scratch);
 

@@ -2,9 +2,9 @@
 //
 // Every buffer the GEMM/conv path needs between calls — packed B panels
 // (A is read in place), the materialized im2col matrix, the gradient
-// column buffer, and the (out_ch, n * l_out) staging buffer for a batch's
-// conv output or output gradient — lives here instead of being allocated
-// per call.
+// column buffer, and the staging buffer for a batch's conv output or
+// output gradient, or a dense product computed transposed — lives here
+// instead of being allocated per call.
 // Buffers only ever grow (same discipline as features::FeatureEngine), so
 // after one warm-up call per shape the steady-state forward/backward path
 // performs zero allocations; tests assert footprint stability.

@@ -90,12 +90,17 @@ void EventLoop::read(Connection& conn) {
   std::size_t round = 0;
   while (round < kReadCapPerRound) {
     auto io = conn.sock.read_some(chunk, sizeof(chunk));
-    if (!io.ok() || io.eof) {
-      if (!io.ok()) {
-        util::log_warn(name_, ": read error: ", io.status.to_string());
-      }
+    if (!io.ok()) {
+      util::log_warn(name_, ": read error: ", io.status.to_string());
       close(conn);
       return;
+    }
+    if (io.eof) {
+      // A half-close: no more input, but the bytes of this round still
+      // reach the handler, and run() closes once the replies are out.
+      conn.reading = false;
+      conn.peer_closed = true;
+      break;
     }
     if (io.would_block) break;
     conn.in.insert(conn.in.end(), chunk, chunk + io.bytes);
@@ -196,7 +201,12 @@ void EventLoop::run() {
       }
     }
     for (auto& conn : conns_) {
-      if (!conn->dead) handler_.on_round(*conn);
+      if (conn->dead) continue;
+      handler_.on_round(*conn);
+      if (conn->peer_closed && !conn->dead && !handler_.busy(*conn) &&
+          conn->pending() == 0) {
+        close(*conn);  // the peer half-closed and is owed nothing more
+      }
     }
     reap();
   }

@@ -4,9 +4,13 @@
 // tick (1 ms while a handler has work in flight or a drain runs, 20 ms
 // otherwise), 16 KiB reads under a 256 KiB cap per connection per round,
 // buffered writes, close and reap, stop() with an optional bounded drain,
-// and the one thread it runs on. A Handler supplies the protocol: its
-// per-connection state (derived from Connection), what arriving bytes
-// mean, and what each round does. Every Handler call runs on that thread.
+// and the one thread it runs on. A peer that half-closes (EOF on read)
+// still gets what it asked for: the bytes read with the EOF reach the
+// handler, and the connection closes once the handler has nothing in
+// flight for it and its output is flushed. A Handler supplies the
+// protocol: its per-connection state (derived from Connection), what
+// arriving bytes mean, and what each round does. Every Handler call runs
+// on that thread.
 #pragma once
 
 #include <atomic>
@@ -41,6 +45,7 @@ struct Connection {
   std::size_t out_off = 0;        // flushed prefix of `out`
   util::Stopwatch active;         // reset whenever bytes move either way
   bool reading = true;            // polled and read for input while set
+  bool peer_closed = false;       // EOF read: closes once idle and flushed
   bool dead = false;
 
   std::size_t pending() const { return out.size() - out_off; }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sys/socket.h>
 
 #include <cstdint>
 #include <functional>
@@ -339,6 +340,23 @@ TEST(Admin, HeaderWithinCapIsServedDespiteTrailingBytes) {
   send_str(s, "GET /healthz HTTP/1.0\r\n\r\n" + std::string(512, 'A'));
   const std::string resp = recv_until_eof(s);
   EXPECT_EQ(resp.rfind("HTTP/1.0 200", 0), 0u) << resp;
+}
+
+// A client that half-closes right after its request (shutdown(SHUT_WR))
+// still gets the answer, then EOF.
+TEST(Admin, RequestThenHalfCloseIsAnswered) {
+  AdminServer admin;
+  ASSERT_TRUE(admin.start().is_ok());
+  auto sock = net::connect_to("127.0.0.1", admin.port(), 2000);
+  ASSERT_TRUE(sock.is_ok());
+  net::Socket s = std::move(sock).value();
+  send_str(s, "GET /healthz HTTP/1.0\r\n\r\n");
+  ASSERT_EQ(::shutdown(s.fd(), SHUT_WR), 0);
+  bool eof = false;
+  const std::string resp = recv_until_eof(s, 3000, &eof);
+  EXPECT_EQ(resp.rfind("HTTP/1.0 200", 0), 0u) << resp;
+  EXPECT_TRUE(eof);
+  EXPECT_EQ(admin.stats().requests, 1u);
 }
 
 // RFC 1945 §8.2: a HEAD response carries the GET headers, Content-Length

@@ -1,17 +1,20 @@
 // Tests for the src/kernels dense-math layer: ULP-bounded equivalence of
 // the tiled GEMM path against the preserved seed loops across a randomized
 // shape sweep (ragged M/N/K, batch 1/3/16), bitwise batch invariance of
-// the conv forward and backward, bitwise parity with the scalar chain
-// across the compiled block edges, the active-path switch, scratch
-// footprint stability, and the obs metric mirrors.
+// the conv and dense forward and backward, bitwise parity with the scalar
+// chain across the compiled block edges on every register tile this CPU
+// runs, the active-path switch, scratch footprint stability, and the obs
+// metric mirrors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kernels/config.hpp"
@@ -84,13 +87,29 @@ void naive_gemm(const kernels::GemmSpec& s, float* c) {
   }
 }
 
-// Ragged shapes on the compiled tile: m runs past one kMc row block, and
-// a third of the trials each add a second kNc column block or a second
-// kKc depth block. C carries kMr - 1 guard rows past m (as many as a tile
-// can have dead rows) that neither path may write, so a store to a dead
-// tile row fails the whole-buffer comparison instead of corrupting the
-// heap.
-TEST(Gemm, RandomizedSweepMatchesNaiveAcrossVariants) {
+using kernels::detail::Tile;
+
+/// Makes the tiled path run `tile` for one scope.
+class PinTile {
+ public:
+  explicit PinTile(Tile tile) : before_(kernels::detail::active_tile()) {
+    EXPECT_TRUE(kernels::detail::pin_tile(tile));
+  }
+  ~PinTile() { kernels::detail::pin_tile(before_); }
+  PinTile(const PinTile&) = delete;
+  PinTile& operator=(const PinTile&) = delete;
+
+ private:
+  Tile before_;
+};
+
+// Ragged shapes on every tile this CPU runs: m runs past one kMc row
+// block, and a third of the trials each add a second kNc column block or
+// a second kKc depth block. C carries kMrWide - 1 guard rows past m (as
+// many as the widest tile can have dead rows) that no path may write, so
+// a store to a dead tile row fails the whole-buffer comparison instead of
+// corrupting the heap.
+void randomized_sweep() {
   util::Rng rng(42);
   kernels::KernelScratch scratch;
   const auto cfg = kernels::default_config();
@@ -117,7 +136,7 @@ TEST(Gemm, RandomizedSweepMatchesNaiveAcrossVariants) {
     spec.ldc = n;
     const int bias_mode = static_cast<int>(rng.uniform_int(0, 3));
     std::vector<float> c0 = random_vec(rng, m * n);  // accumulate seed
-    c0.resize((m + kernels::kMr - 1) * n, 1234.5f);   // guard rows
+    c0.resize((m + kernels::kMrWide - 1) * n, 1234.5f);  // guard rows
     if (bias_mode == 0) spec.bias_row = bias.data();
     else if (bias_mode == 1) spec.bias_col = bias.data() + m;
     else if (bias_mode == 2) spec.accumulate = true;
@@ -135,6 +154,14 @@ TEST(Gemm, RandomizedSweepMatchesNaiveAcrossVariants) {
   }
 }
 
+TEST(Gemm, RandomizedSweepMatchesNaiveAcrossVariants) {
+  for (const Tile tile : kernels::detail::runnable_tiles()) {
+    SCOPED_TRACE(kernels::detail::tile_name(tile));
+    PinTile pin(tile);
+    randomized_sweep();
+  }
+}
+
 /// True when both buffers hold the same bit patterns.
 bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
   if (a.size() != b.size()) return false;
@@ -147,21 +174,22 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return true;
 }
 
-// Row-count regimes of ScalarFallbackParity: below the register tile (the
-// unpacked direct path), inside the tiled range, one row past a kMc row
+// Row-count regimes of ScalarFallbackParity: below the four-lane tile (the
+// unpacked direct path), one tile of the eight-lane tile with dead rows
+// (kMr <= m < kMrWide), inside the tiled range, one row past a kMc row
 // block (the block's last tile is partial, and its dead rows would land in
 // the next block), and the direct path at n >= 64 (full 32-column axpy and
 // 16-column dot blocks, then their tails).
-enum class Rows { kDirect, kTiled, kPastRowBlock, kDirectWide };
+enum class Rows { kDirect, kWideDeadRows, kTiled, kPastRowBlock, kDirectWide };
 
 // The chain-order contract makes every path bitwise equal to the scalar
-// chain: both transposes, every init mode, every row regime, one or two
-// kKc depth blocks, one or two kNc column blocks, and operands with
-// leading dimensions at or above the minimum. C carries one guard row past
-// m and, when strided, padding past n; the scalar path writes neither, so
-// the whole-buffer comparison also catches a store to a dead row or
-// column.
-TEST(Gemm, ScalarFallbackParity) {
+// chain, on every tile this CPU runs: both transposes, every init mode,
+// every row regime, one or two kKc depth blocks, one or two kNc column
+// blocks, and operands with leading dimensions at or above the minimum. C
+// carries kMrWide - 1 guard rows past m and, when strided, padding past n;
+// the scalar path writes neither, so the whole-buffer comparison also
+// catches a store to a dead row or column.
+void scalar_parity_sweep() {
   util::Rng rng(7);
   kernels::KernelScratch scratch;
   auto draw = [&](std::size_t lo, std::size_t hi) {
@@ -171,17 +199,20 @@ TEST(Gemm, ScalarFallbackParity) {
   const auto cfg = kernels::default_config();
   for (int trans = 0; trans < 4; ++trans) {
     for (int init = 0; init < 4; ++init) {
-      for (const Rows rows : {Rows::kDirect, Rows::kTiled,
-                              Rows::kPastRowBlock, Rows::kDirectWide}) {
+      for (const Rows rows :
+           {Rows::kDirect, Rows::kWideDeadRows, Rows::kTiled,
+            Rows::kPastRowBlock, Rows::kDirectWide}) {
         for (const bool deep : {false, true}) {
           for (const bool wide : {false, true}) {
             for (const bool strided : {false, true}) {
               const bool direct =
                   rows == Rows::kDirect || rows == Rows::kDirectWide;
-              const std::size_t m = direct ? draw(1, kernels::kMr - 1)
-                                    : rows == Rows::kTiled
-                                        ? draw(kernels::kMr, 40)
-                                        : kernels::kMc + 1;
+              const std::size_t m =
+                  direct ? draw(1, kernels::kMr - 1)
+                  : rows == Rows::kWideDeadRows
+                      ? draw(kernels::kMr, kernels::kMrWide - 1)
+                  : rows == Rows::kTiled ? draw(kernels::kMr, 40)
+                                         : kernels::kMc + 1;
               const std::size_t n =
                   wide ? kernels::kNc + draw(1, 40)
                   : rows == Rows::kDirectWide ? draw(64, 150)
@@ -210,8 +241,9 @@ TEST(Gemm, ScalarFallbackParity) {
               if (init == 0) spec.bias_row = bias.data();
               else if (init == 1) spec.bias_col = bias.data() + m;
               else if (init == 2) spec.accumulate = true;
-              // Accumulate seed, padding and guard row in one buffer.
-              const auto c0 = random_vec(rng, (m + 1) * spec.ldc);
+              // Accumulate seed, padding and guard rows in one buffer.
+              const auto c0 = random_vec(
+                  rng, (m + kernels::kMrWide - 1) * spec.ldc);
 
               std::vector<float> tiled = c0, scalar = c0;
               spec.c = tiled.data();
@@ -228,6 +260,14 @@ TEST(Gemm, ScalarFallbackParity) {
         }
       }
     }
+  }
+}
+
+TEST(Gemm, ScalarFallbackParity) {
+  for (const Tile tile : kernels::detail::runnable_tiles()) {
+    SCOPED_TRACE(kernels::detail::tile_name(tile));
+    PinTile pin(tile);
+    scalar_parity_sweep();
   }
 }
 
@@ -433,14 +473,117 @@ TEST(ConvLowering, BatchedBackwardBitwiseEqualsPerSample) {
   }
 }
 
+/// Dense forward, input gradient and full backward of one (in, out) shape
+/// at batch n, from fixed inputs.
+struct DenseRun {
+  std::vector<float> y, gx_only, gx, gw, gb;
+};
+
+DenseRun run_dense(std::size_t n, std::size_t in, std::size_t out,
+                   const std::vector<float>& x, const std::vector<float>& w,
+                   const std::vector<float>& b,
+                   const std::vector<float>& grad_out,
+                   const std::vector<float>& gw0,
+                   const std::vector<float>& gb0) {
+  DenseRun r;
+  r.y.resize(n * out);
+  kernels::dense_forward(n, in, out, x.data(), w.data(), b.data(), r.y.data());
+  r.gx_only.resize(n * in);
+  kernels::dense_backward(n, in, out, x.data(), w.data(), grad_out.data(),
+                          r.gx_only.data(), nullptr, nullptr);
+  r.gx.resize(n * in);
+  r.gw = gw0;
+  r.gb = gb0;
+  kernels::dense_backward(n, in, out, x.data(), w.data(), grad_out.data(),
+                          r.gx.data(), r.gw.data(), r.gb.data());
+  return r;
+}
+
+// A dense layer at batch n runs as y = X * W^T, or transposed (y^T = W *
+// X^T, reading W in place) where W is the larger operand; the input
+// gradient likewise. Either way, on every tile this CPU runs, a batch-n
+// forward, input gradient (what Model::backward_input runs) and full
+// backward equal n single-sample calls, with gw and gb accumulated across
+// them in sample order from the same nonzero start, and the scalar chain,
+// bit for bit. The shapes are the paper CNN's dense1 and dense2 and a
+// small one that switches mapping inside the batch range.
+TEST(DenseLowering, BatchedBitwiseEqualsPerSampleAndScalarChain) {
+  struct Shape {
+    std::size_t in, out;
+  };
+  util::Rng rng(41);
+  for (const Shape shape : {Shape{368, 512}, Shape{512, 2}, Shape{40, 30}}) {
+    const std::size_t in = shape.in, out = shape.out;
+    const auto w = random_vec(rng, out * in);
+    const auto b = random_vec(rng, out);
+    const auto gw0 = random_vec(rng, out * in);
+    const auto gb0 = random_vec(rng, out);
+    for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 16u, 24u, 33u}) {
+      const auto x = random_vec(rng, n * in);
+      const auto grad_out = random_vec(rng, n * out);
+      for (const Tile tile : kernels::detail::runnable_tiles()) {
+        SCOPED_TRACE(std::string(kernels::detail::tile_name(tile)) +
+                     " in=" + std::to_string(in) + " out=" +
+                     std::to_string(out) + " n=" + std::to_string(n));
+        PinTile pin(tile);
+        const DenseRun batched =
+            run_dense(n, in, out, x, w, b, grad_out, gw0, gb0);
+
+        DenseRun single;
+        single.gw = gw0;
+        single.gb = gb0;
+        std::vector<float> y1(out), gx1(in);
+        for (std::size_t i = 0; i < n; ++i) {
+          const float* xi = x.data() + i * in;
+          const float* gi = grad_out.data() + i * out;
+          kernels::dense_forward(1, in, out, xi, w.data(), b.data(),
+                                 y1.data());
+          single.y.insert(single.y.end(), y1.begin(), y1.end());
+          kernels::dense_backward(1, in, out, xi, w.data(), gi, gx1.data(),
+                                  nullptr, nullptr);
+          single.gx_only.insert(single.gx_only.end(), gx1.begin(), gx1.end());
+          kernels::dense_backward(1, in, out, xi, w.data(), gi, gx1.data(),
+                                  single.gw.data(), single.gb.data());
+          single.gx.insert(single.gx.end(), gx1.begin(), gx1.end());
+        }
+
+        ASSERT_TRUE(kernels::set_active_config(kernels::scalar_config())
+                        .is_ok());
+        const DenseRun scalar =
+            run_dense(n, in, out, x, w, b, grad_out, gw0, gb0);
+        ASSERT_TRUE(kernels::set_active_config(kernels::default_config())
+                        .is_ok());
+
+        using Want = std::pair<const char*, const DenseRun*>;
+        for (const auto& [what, want] :
+             {Want{"per-sample", &single}, Want{"scalar", &scalar}}) {
+          EXPECT_TRUE(bitwise_equal(batched.y, want->y)) << what << " y";
+          EXPECT_TRUE(bitwise_equal(batched.gx_only, want->gx_only))
+              << what << " gx only";
+          EXPECT_TRUE(bitwise_equal(batched.gx, want->gx)) << what << " gx";
+          EXPECT_TRUE(bitwise_equal(batched.gw, want->gw)) << what << " gw";
+          EXPECT_TRUE(bitwise_equal(batched.gb, want->gb)) << what << " gb";
+        }
+      }
+    }
+  }
+}
+
 // The active config is one choice: installing the scalar chain switches
 // it and the reported summary, and the default brings the compiled tile
-// back.
+// back. The summary names the tile the CPU check picked: the widest this
+// CPU runs.
 TEST(KernelConfig, SetActiveSwitchesPathAndSummary) {
   const auto before = kernels::active_config();
   EXPECT_FALSE(kernels::default_config().scalar);
+  const auto tiles = kernels::detail::runnable_tiles();
+  ASSERT_FALSE(tiles.empty());
+  EXPECT_EQ(tiles.front(), Tile::kPortable);
+  EXPECT_EQ(kernels::detail::active_tile(), tiles.back());
   EXPECT_EQ(kernels::default_config().summary(),
-            "mr=4 nr=8 mc=64 kc=256 nc=512");
+            tiles.back() == Tile::kAvx2
+                ? "avx2 mr=8 nr=8 mc=64 kc=256 nc=512"
+                : "portable mr=4 nr=8 mc=64 kc=256 nc=512");
   ASSERT_TRUE(kernels::set_active_config(kernels::scalar_config()).is_ok());
   EXPECT_TRUE(kernels::active_config().scalar);
   EXPECT_EQ(kernels::active_config_summary(), "scalar");
@@ -449,6 +592,25 @@ TEST(KernelConfig, SetActiveSwitchesPathAndSummary) {
   EXPECT_EQ(kernels::active_config_summary(),
             kernels::default_config().summary());
   ASSERT_TRUE(kernels::set_active_config(before).is_ok());
+}
+
+// A tile can be pinned only where the CPU runs it, and the summary follows
+// the pinned tile.
+TEST(KernelConfig, PinTileFollowsTheCpuCheck) {
+  const auto tiles = kernels::detail::runnable_tiles();
+  const Tile dispatched = kernels::detail::active_tile();
+  for (const Tile tile : {Tile::kPortable, Tile::kAvx2}) {
+    const bool runs = std::find(tiles.begin(), tiles.end(), tile) != tiles.end();
+    EXPECT_EQ(kernels::detail::pin_tile(tile), runs)
+        << kernels::detail::tile_name(tile);
+    EXPECT_EQ(kernels::detail::active_tile() == tile, runs);
+    if (runs) {
+      EXPECT_EQ(kernels::default_config().summary().rfind(
+                    kernels::detail::tile_name(tile), 0),
+                0u);
+    }
+  }
+  EXPECT_TRUE(kernels::detail::pin_tile(dispatched));
 }
 
 // The active choice may change while other threads multiply: each call
@@ -506,11 +668,23 @@ TEST(KernelScratch, FootprintStableAfterWarmup) {
   std::vector<float> y(16 * c.shape.out_ch * c.shape.l_out());
   std::vector<float> gx(c.x.size()), gw(c.w.size()), gb(c.b.size());
 
+  // dense1 of the paper CNN at batch 16, which stages its products.
+  const std::size_t n = 16, in = 368, out = 512;
+  const auto dx = random_vec(rng, n * in);
+  const auto dw = random_vec(rng, out * in);
+  const auto db = random_vec(rng, out);
+  const auto dg = random_vec(rng, n * out);
+  std::vector<float> dy(n * out), dgx(n * in), dgw(out * in), dgb(out);
+
   auto pass = [&] {
     kernels::conv1d_forward(c.shape, c.x.data(), c.w.data(), c.b.data(),
                             y.data());
     kernels::conv1d_backward(c.shape, c.x.data(), c.w.data(), grad_out.data(),
                              gx.data(), gw.data(), gb.data());
+    kernels::dense_forward(n, in, out, dx.data(), dw.data(), db.data(),
+                           dy.data());
+    kernels::dense_backward(n, in, out, dx.data(), dw.data(), dg.data(),
+                            dgx.data(), dgw.data(), dgb.data());
   };
   pass();  // warm-up grows the thread-local arena
   const std::size_t warm = kernels::KernelScratch::tls().footprint_bytes();

@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -380,6 +382,120 @@ TEST(ParallelAttackHarness, WorkerFailureQuarantinesOnlyThatSample) {
   EXPECT_THROW(
       attacks::run_attack(attack, *det.clf, rows, det.data.labels, nullptr, o),
       std::runtime_error);
+}
+
+/// Test-local reference for run_attack: the per-row loop, with one
+/// predict() per eligibility check and per crafted vector, serial.
+namespace per_row {
+
+attacks::AttackRow run_attack(attacks::Attack& attack,
+                              ml::DifferentiableClassifier& clf,
+                              const std::vector<std::vector<double>>& rows,
+                              const std::vector<std::uint8_t>& labels,
+                              const attacks::HarnessOptions& opts) {
+  auto finite = [](const std::vector<double>& v) {
+    return std::all_of(v.begin(), v.end(),
+                       [](double d) { return std::isfinite(d); });
+  };
+  attacks::AttackRow out;
+  out.attack = attack.name();
+  double total_changed = 0.0, total_l2 = 0.0;
+  for (std::size_t s = 0; s < rows.size(); ++s) {
+    if (opts.max_samples != 0 && out.samples >= opts.max_samples) break;
+    const auto& x = rows[s];
+    if (x.size() != clf.input_dim() || !finite(x)) {
+      ++out.quarantined;
+      continue;
+    }
+    if (opts.skip_already_misclassified && clf.predict(x) != labels[s]) {
+      continue;
+    }
+    attack.reseed(util::mix_seed(opts.seed, s));
+    std::vector<double> adv;
+    try {
+      adv = attack.craft(clf, x, labels[s] == 0 ? 1 : 0);
+    } catch (const std::exception&) {
+      ++out.quarantined;
+      continue;
+    }
+    if (adv.size() != x.size() || !finite(adv)) {
+      ++out.quarantined;
+      continue;
+    }
+    ++out.samples;
+    std::size_t changed = 0;
+    double l2sq = 0.0;
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      const double d = adv[j] - x[j];
+      if (std::abs(d) > opts.change_tolerance) ++changed;
+      l2sq += d * d;
+    }
+    total_changed += static_cast<double>(changed);
+    total_l2 += std::sqrt(l2sq);
+    if (clf.predict(adv) != labels[s]) ++out.misclassified;
+  }
+  if (out.samples > 0) {
+    const auto n = static_cast<double>(out.samples);
+    out.avg_features_changed = total_changed / n;
+    out.mean_l2 = total_l2 / n;
+  }
+  return out;
+}
+
+}  // namespace per_row
+
+// The eligibility scan scores its candidates in batches; the rows it
+// consumes, and so every field of the row but the timing, must match the
+// per-row scan: with misclassified rows to skip, malformed rows to
+// quarantine during the scan, a craft that fails (so a capped run needs
+// another wave), with and without a cap, serial and parallel.
+TEST(ParallelAttackHarness, BatchedEligibilityScanMatchesPerRowScan) {
+  const auto corpus = dataset::Corpus::generate(corpus_config(1));
+  auto det = make_detector(corpus);
+  auto rows = det.data.rows;
+  auto labels = det.data.labels;
+  for (std::size_t s = 1; s < labels.size(); s += 4) labels[s] ^= 1;
+  rows[6][3] = std::numeric_limits<double>::quiet_NaN();
+  rows[17].pop_back();
+  constexpr double kMarker = 0.123456789;
+  std::size_t marked = 8;
+  for (; marked < rows.size(); ++marked) {
+    if (marked % 4 == 1 || marked == 6 || marked == 17) continue;
+    auto x = rows[marked];
+    x[0] = kMarker;
+    if (det.clf->predict(x) == labels[marked]) break;
+  }
+  ASSERT_LT(marked, 20u) << "no eligible row to mark";
+  rows[marked][0] = kMarker;
+
+  attacks::PgdConfig pgd_cfg;
+  pgd_cfg.iterations = 5;
+  attacks::Pgd pgd(pgd_cfg);
+  FailingAttack failing(kMarker);
+  for (attacks::Attack* atk : std::vector<attacks::Attack*>{&pgd, &failing}) {
+    for (const std::size_t cap : {0u, 7u, 20u}) {
+      attacks::HarnessOptions o;
+      o.max_samples = cap;
+      util::LogCapture capture;  // the quarantine warnings
+      const auto want = per_row::run_attack(*atk, *det.clf, rows, labels, o);
+      EXPECT_GT(want.samples, 0u);
+      EXPECT_GE(want.quarantined, 1u);
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(atk->name() + " cap " + std::to_string(cap) +
+                     " threads " + std::to_string(threads));
+        o.threads = threads;
+        const auto got =
+            attacks::run_attack(*atk, *det.clf, rows, labels, nullptr, o);
+        EXPECT_EQ(got.attack, want.attack);
+        EXPECT_EQ(got.samples, want.samples);
+        EXPECT_EQ(got.misclassified, want.misclassified);
+        EXPECT_EQ(got.quarantined, want.quarantined);
+        EXPECT_EQ(got.avg_features_changed, want.avg_features_changed);
+        EXPECT_EQ(got.mean_l2, want.mean_l2);
+        EXPECT_EQ(got.valid_fraction, want.valid_fraction);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 // End-to-end tests for the remote serving transport: loopback
 // client/server verdict fidelity, deadline-budget propagation, retry with
-// backoff, per-connection backpressure, slow-loris and idle timeouts,
-// lenient/strict wire quarantine, graceful drain, and all five net.* fault
-// points.
+// backoff, per-connection backpressure, slow-loris and idle timeouts, a
+// peer's half-close, lenient/strict wire quarantine, graceful drain, and
+// all five net.* fault points.
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -472,6 +474,106 @@ TEST(Transport, IdleConnectionIsReaped) {
   net::Socket sock = raw_connect(rig.transport->port());
   EXPECT_TRUE(wait_for_eof(sock));
   ASSERT_TRUE(spin_until([&] { return rig.transport->stats().idle_timeouts >= 1; }));
+}
+
+// --- Half-close ------------------------------------------------------------
+
+/// Timeouts far past any test's wait, so a close the tests see is the
+/// half-close's, never a deadline's.
+serve::TransportConfig patient_config() {
+  serve::TransportConfig tcfg;
+  tcfg.idle_timeout_ms = 60'000.0;
+  tcfg.read_timeout_ms = 60'000.0;
+  return tcfg;
+}
+
+/// Send `frames` pipelined detect requests, then shut down the write side.
+void send_then_half_close(net::Socket& sock, std::uint64_t frames) {
+  Rng rng(71);
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t id = 1; id <= frames; ++id) {
+    const auto frame = make_request_bytes(id, synthetic_row(rng));
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  send_all(sock, bytes);
+  ASSERT_EQ(::shutdown(sock.fd(), SHUT_WR), 0);
+}
+
+/// Read `frames` verdicts with distinct ids, then EOF; the server must
+/// have closed the connection for the half-close, not for a timeout.
+void expect_verdicts_then_eof(Rig& rig, net::Socket& sock,
+                              std::uint64_t frames) {
+  std::vector<std::uint8_t> buf;
+  std::set<std::uint64_t> ids;
+  for (std::uint64_t i = 0; i < frames; ++i) {
+    auto frame = read_frame(sock, buf);
+    ASSERT_TRUE(frame.has_value()) << "response " << i;
+    EXPECT_EQ(frame->type, net::FrameType::kDetectResponse);
+    auto verdict = serve::decode_detect_response_payload(
+        {frame->payload.data(), frame->payload.size()});
+    EXPECT_TRUE(verdict.is_ok()) << verdict.status().to_string();
+    ids.insert(frame->request_id);
+  }
+  EXPECT_EQ(ids.size(), frames);
+  EXPECT_TRUE(buf.empty());
+  EXPECT_TRUE(wait_for_eof(sock));
+  ASSERT_TRUE(spin_until([&] { return rig.transport->stats().closed >= 1; }));
+  const auto snap = rig.transport->stats();
+  EXPECT_EQ(snap.requests, frames);
+  EXPECT_EQ(snap.responses_ok, frames);
+  EXPECT_EQ(snap.idle_timeouts, 0u);
+  EXPECT_EQ(snap.read_timeouts, 0u);
+}
+
+// The FIN follows the frames at once, so the loop reads it while their
+// verdicts are still being computed: every one must still be written.
+TEST(Transport, HalfCloseAfterPipelinedFramesGetsEveryVerdict) {
+  for (const std::uint64_t frames : {1u, 8u}) {
+    SCOPED_TRACE("frames " + std::to_string(frames));
+    Rig rig({}, patient_config());
+    net::Socket sock = raw_connect(rig.transport->port());
+    send_then_half_close(sock, frames);
+    expect_verdicts_then_eof(rig, sock, frames);
+  }
+}
+
+// The verdicts are held in the paused queue when the loop reads the FIN:
+// the connection stays open until they are written.
+TEST(Transport, HalfCloseWithVerdictsInFlightWaitsForThem) {
+  constexpr std::uint64_t kFrames = 6;
+  Rig rig({}, patient_config());
+  rig.server->pause();
+  net::Socket sock = raw_connect(rig.transport->port());
+  send_then_half_close(sock, kFrames);
+  ASSERT_TRUE(spin_until(
+      [&] { return rig.transport->stats().requests == kFrames; }));
+  // Give the loop rounds to read the FIN while nothing can complete.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(rig.transport->stats().closed, 0u);
+  rig.server->resume();
+  expect_verdicts_then_eof(rig, sock, kFrames);
+}
+
+// Owed nothing, a half-closed connection closes at once, and so does one
+// whose last frame never completed: neither waits for a timeout.
+TEST(Transport, HalfCloseWithNothingOwedClosesPromptly) {
+  for (const bool partial : {false, true}) {
+    SCOPED_TRACE(partial ? "partial frame" : "no bytes");
+    Rig rig({}, patient_config());
+    net::Socket sock = raw_connect(rig.transport->port());
+    if (partial) {
+      send_all(sock, std::vector<std::uint8_t>(net::kHeaderBytes / 2, 0x47));
+    }
+    util::Stopwatch sw;
+    ASSERT_EQ(::shutdown(sock.fd(), SHUT_WR), 0);
+    EXPECT_TRUE(wait_for_eof(sock, 2000));
+    EXPECT_LT(sw.elapsed_ms(), 2000.0);
+    ASSERT_TRUE(spin_until([&] { return rig.transport->stats().closed >= 1; }));
+    const auto snap = rig.transport->stats();
+    EXPECT_EQ(snap.requests, 0u);
+    EXPECT_EQ(snap.idle_timeouts, 0u);
+    EXPECT_EQ(snap.read_timeouts, 0u);
+  }
 }
 
 TEST(Transport, ConnectionStormBeyondCapIsShed) {
