@@ -1,16 +1,17 @@
 // Load generator for the detection server, written to BENCH_serve.json.
 //
-// Sweeps worker count {1, 2, 8} x micro-batching {off (max_batch=1, the
-// legacy per-sample forward path), on (max_batch=16, the batched infer
-// path)} under a closed loop (16 synchronous clients, each submit->wait),
-// then runs one open-loop stage that offers ~2x the measured capacity to
-// exercise admission control: the overflow must show up as fast
-// kUnavailable rejections, never as client hangs or queue growth.
+// Sweeps worker count {1, 2, 8} x micro-batching {off (max_batch=1: each
+// request a batch of one through Model::infer), on (max_batch=16, up to 16
+// requests per Model::infer)} under a closed loop (16 synchronous clients,
+// each submit->wait), then runs one open-loop stage that offers ~2x the
+// measured capacity to exercise admission control: the overflow must show
+// up as fast kUnavailable rejections, never as client hangs or queue
+// growth.
 //
 // The headline number is batched_speedup_8w: closed-loop QPS with batching
-// on vs off at 8 workers. Batching never changes verdicts (the batched
-// path is bitwise-identical to per-sample forward; tests/serve_test.cpp),
-// so this is pure throughput.
+// on vs off at 8 workers. Batching never changes verdicts (a batch's rows
+// are bitwise-identical to the same rows inferred alone;
+// tests/serve_test.cpp), so this is pure throughput.
 //
 // With --loopback the closed loop is repeated over the real wire: a
 // TransportServer on 127.0.0.1 with one RemoteClient per client thread,

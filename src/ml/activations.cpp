@@ -5,24 +5,9 @@
 
 namespace gea::ml {
 
-// One rule everywhere: y = x > 0 ? x : 0, so -0, NaN and every
-// non-positive input give +0, and forward, infer and backward agree on
-// which lanes pass. Each loop is a branch-free select the compiler
-// vectorizes.
-Tensor ReLU::forward(const Tensor& x, bool /*training*/) {
-  Tensor y = x;
-  mask_.resize(x.size());
-  float* yv = y.data();
-  std::uint8_t* mv = mask_.data();
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    const bool pass = yv[i] > 0.0f;
-    mv[i] = pass;
-    yv[i] = pass ? yv[i] : 0.0f;
-  }
-  return y;
-}
-
-Tensor ReLU::infer(const Tensor& x) {
+// One rule, x > 0 ? x : 0, for the output and for which lanes backward
+// passes. Each loop is a branch-free select the compiler vectorizes.
+Tensor ReLU::infer(const Tensor& x) const {
   Tensor y = x;
   float* yv = y.data();
   for (std::size_t i = 0; i < y.size(); ++i) {
@@ -31,15 +16,20 @@ Tensor ReLU::infer(const Tensor& x) {
   return y;
 }
 
+Tensor ReLU::forward(const Tensor& x, bool /*training*/) {
+  last_input_ = x;
+  return infer(x);
+}
+
 Tensor ReLU::backward(const Tensor& grad_out) {
-  if (grad_out.size() != mask_.size()) {
+  if (grad_out.size() != last_input_.size()) {
     throw std::invalid_argument("ReLU::backward: gradient size mismatch");
   }
   Tensor grad_in = grad_out;
   float* gv = grad_in.data();
-  const std::uint8_t* mv = mask_.data();
+  const float* xv = last_input_.data();
   for (std::size_t i = 0; i < grad_in.size(); ++i) {
-    gv[i] = mv[i] != 0 ? gv[i] : 0.0f;
+    gv[i] = xv[i] > 0.0f ? gv[i] : 0.0f;
   }
   return grad_in;
 }
@@ -50,7 +40,7 @@ Dropout::Dropout(double p, util::Rng& rng) : p_(p), rng_(&rng) {
 
 Tensor Dropout::forward(const Tensor& x, bool training) {
   last_training_ = training;
-  if (!training || p_ == 0.0) return x;
+  if (!training || p_ == 0.0) return infer(x);
   Tensor y = x;
   mask_.assign(x.size(), 0.0f);
   const float keep_scale = static_cast<float>(1.0 / (1.0 - p_));
@@ -77,28 +67,21 @@ std::string Dropout::describe() const {
   return ss.str();
 }
 
-Tensor Flatten::forward(const Tensor& x, bool /*training*/) {
+Tensor Flatten::infer(const Tensor& x) const {
   if (x.rank() < 2) {
-    throw std::invalid_argument("Flatten::forward: expected rank>=2, got " +
-                                x.shape_string());
-  }
-  in_shape_ = x.shape();
-  Tensor y = x;
-  std::size_t rest = 1;
-  for (std::size_t i = 1; i < in_shape_.size(); ++i) rest *= in_shape_[i];
-  y.reshape({in_shape_[0], rest});
-  return y;
-}
-
-Tensor Flatten::infer(const Tensor& x) {
-  if (x.rank() < 2) {
-    throw std::invalid_argument("Flatten::infer: expected rank>=2, got " +
+    throw std::invalid_argument("Flatten: expected rank>=2, got " +
                                 x.shape_string());
   }
   Tensor y = x;
   std::size_t rest = 1;
   for (std::size_t i = 1; i < x.rank(); ++i) rest *= x.dim(i);
   y.reshape({x.dim(0), rest});
+  return y;
+}
+
+Tensor Flatten::forward(const Tensor& x, bool /*training*/) {
+  Tensor y = infer(x);
+  in_shape_ = x.shape();
   return y;
 }
 

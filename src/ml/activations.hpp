@@ -1,25 +1,24 @@
-// Stateless / mask-based layers: ReLU, Dropout, Flatten.
+// Parameter-free layers: ReLU, Dropout, Flatten.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "ml/layer.hpp"
 
 namespace gea::ml {
 
+/// y = x > 0 ? x : 0, so NaN, -0 and every non-positive input give +0;
+/// backward passes the gradient exactly where the remembered input is > 0.
 class ReLU : public Layer {
  public:
+  Tensor infer(const Tensor& x) const override;
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
-  /// Inference fast path: forward's clamp (x > 0 ? x : 0, so NaN gives 0)
-  /// without building the backward mask.
-  Tensor infer(const Tensor& x) override;
   std::string describe() const override { return "ReLU"; }
   LayerPtr clone() const override { return std::make_unique<ReLU>(); }
 
  private:
-  std::vector<std::uint8_t> mask_;  // 1 where input > 0
+  Tensor last_input_;
 };
 
 /// Inverted dropout: at train time zeroes activations with probability `p`
@@ -29,10 +28,10 @@ class Dropout : public Layer {
  public:
   Dropout(double p, util::Rng& rng);
 
+  /// Identity (inverted dropout), so no work and no Rng draw.
+  Tensor infer(const Tensor& x) const override { return x; }
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
-  /// Identity at inference (inverted dropout), so no work and no Rng draw.
-  Tensor infer(const Tensor& x) override { return x; }
   std::string describe() const override;
   /// The clone shares this instance's Rng pointer; parallel callers rebind
   /// it per chunk via bind_rng before any training-mode forward.
@@ -49,10 +48,10 @@ class Dropout : public Layer {
 /// (N, C, L) -> (N, C*L).
 class Flatten : public Layer {
  public:
+  Tensor infer(const Tensor& x) const override;
+  /// infer(x), remembering the input shape for backward.
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
-  /// Reshape without remembering the input shape for backward.
-  Tensor infer(const Tensor& x) override;
   std::string describe() const override { return "Flatten"; }
   LayerPtr clone() const override { return std::make_unique<Flatten>(); }
 

@@ -58,28 +58,21 @@ kernels::Conv1DShape Conv1D::shape_for(const Tensor& x) const {
   return s;
 }
 
-Tensor Conv1D::forward(const Tensor& x, bool /*training*/) {
+Tensor Conv1D::infer(const Tensor& x) const {
   if (x.rank() != 3 || x.dim(1) != in_ch_) {
-    throw std::invalid_argument("Conv1D::forward: expected (N, " +
+    throw std::invalid_argument("Conv1D: expected (N, " +
                                 std::to_string(in_ch_) + ", L), got " +
                                 x.shape_string());
   }
-  last_input_ = x;
   const auto s = shape_for(x);
   Tensor y({s.n, out_ch_, s.l_out()});
   kernels::conv1d_forward(s, x.data(), w_.data(), b_.data(), y.data());
   return y;
 }
 
-Tensor Conv1D::infer(const Tensor& x) {
-  if (x.rank() != 3 || x.dim(1) != in_ch_) {
-    throw std::invalid_argument("Conv1D::infer: expected (N, " +
-                                std::to_string(in_ch_) + ", L), got " +
-                                x.shape_string());
-  }
-  const auto s = shape_for(x);
-  Tensor y({s.n, out_ch_, s.l_out()});
-  kernels::conv1d_forward(s, x.data(), w_.data(), b_.data(), y.data());
+Tensor Conv1D::forward(const Tensor& x, bool /*training*/) {
+  Tensor y = infer(x);
+  last_input_ = x;
   return y;
 }
 

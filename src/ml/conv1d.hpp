@@ -5,11 +5,10 @@
 // used by Conv 2 and Conv 4).
 //
 // All math is lowered onto kernels::gemm via im2col (kernels/conv.hpp):
-// forward, batched infer, and both backward GEMMs share one tiled,
-// vectorized path whose per-element accumulation is k-ordered — so
-// per-sample forward and batched infer stay bitwise identical by
-// construction, and the whole layer is ULP-bounded against the preserved
-// seed loops (kernels/reference.hpp).
+// infer and both backward GEMMs share one tiled, vectorized path whose
+// per-element accumulation is k-ordered — so per-sample and batched infer
+// stay bitwise identical by construction, and the whole layer is
+// ULP-bounded against the preserved seed loops (kernels/reference.hpp).
 #pragma once
 
 #include "kernels/conv.hpp"
@@ -24,12 +23,10 @@ class Conv1D : public Layer {
   Conv1D(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel_size, Padding padding);
 
+  Tensor infer(const Tensor& x) const override;
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   Tensor backward_input(const Tensor& grad_out) override;
-  /// Batched inference fast path: forward() without the input cache copy.
-  /// Identical kernel path, so the logits are bitwise identical.
-  Tensor infer(const Tensor& x) override;
   std::vector<Param> params() override;
   std::string describe() const override;
   void init(util::Rng& rng) override;

@@ -23,13 +23,12 @@ void Dense::init(util::Rng& rng) {
   for (auto& b : b_) b = 0.0f;
 }
 
-Tensor Dense::forward(const Tensor& x, bool /*training*/) {
+Tensor Dense::infer(const Tensor& x) const {
   if (x.rank() != 2 || x.dim(1) != in_) {
-    throw std::invalid_argument("Dense::forward: expected (N, " +
+    throw std::invalid_argument("Dense: expected (N, " +
                                 std::to_string(in_) + "), got " +
                                 x.shape_string());
   }
-  last_input_ = x;
   const std::size_t n = x.dim(0);
   Tensor y({n, out_});
   kernels::dense_forward(n, in_, out_, x.data(), w_.data(), b_.data(),
@@ -37,16 +36,9 @@ Tensor Dense::forward(const Tensor& x, bool /*training*/) {
   return y;
 }
 
-Tensor Dense::infer(const Tensor& x) {
-  if (x.rank() != 2 || x.dim(1) != in_) {
-    throw std::invalid_argument("Dense::infer: expected (N, " +
-                                std::to_string(in_) + "), got " +
-                                x.shape_string());
-  }
-  const std::size_t n = x.dim(0);
-  Tensor y({n, out_});
-  kernels::dense_forward(n, in_, out_, x.data(), w_.data(), b_.data(),
-                         y.data());
+Tensor Dense::forward(const Tensor& x, bool /*training*/) {
+  Tensor y = infer(x);
+  last_input_ = x;
   return y;
 }
 

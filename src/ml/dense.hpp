@@ -1,6 +1,6 @@
 // Fully connected layer: y = W x + b over (N, in) batches.
 //
-// Lowered onto kernels::gemm: forward/infer map to one batch-wide GEMM
+// Lowered onto kernels::gemm: infer maps to one batch-wide GEMM
 // (x * W^T + b), backward to two accumulating GEMMs (one for
 // backward_input, which skips the weight gradient). The per-element
 // k-ordered chain keeps per-sample and batched results bitwise identical
@@ -15,11 +15,10 @@ class Dense : public Layer {
  public:
   Dense(std::size_t in_features, std::size_t out_features);
 
+  Tensor infer(const Tensor& x) const override;
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   Tensor backward_input(const Tensor& grad_out) override;
-  /// Inference fast path: forward() without the input cache copy.
-  Tensor infer(const Tensor& x) override;
   std::vector<Param> params() override;
   std::string describe() const override;
   void init(util::Rng& rng) override;

@@ -1,12 +1,17 @@
 // Layer abstraction.
 //
-// Layers are stateful: forward() caches whatever backward() and
-// backward_input() need, so either call must follow the forward call whose
-// gradient it computes. backward() accumulates parameter gradients
-// (callers zero them via Model::zero_grad) and returns the gradient with
-// respect to the layer input. backward_input() returns the same input
-// gradient, bit for bit, and touches no parameter gradient — the chain
-// every white-box attack rides to get input gradients.
+// infer() is each layer's one forward computation. It is const: it reads
+// the parameters and writes nothing, so any number of threads may run it on
+// one shared layer. forward() is infer() plus remembering what backward()
+// needs — the input (Flatten: its shape; Dropout in training: its mask) —
+// so backward() and backward_input() compute the gradient of the last
+// forward() call, whatever infer() calls came between. ReLU and MaxPool1D
+// derive their gradient routing from that remembered input. backward()
+// accumulates parameter gradients (callers zero them via Model::zero_grad)
+// and returns the gradient with respect to the layer input.
+// backward_input() returns the same input gradient, bit for bit, and
+// touches no parameter gradient — the chain every white-box attack rides to
+// get input gradients.
 #pragma once
 
 #include <memory>
@@ -29,7 +34,14 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Compute the layer output. `training` toggles dropout et al.
+  /// The layer output for a (possibly multi-sample) batch at inference:
+  /// dropout is the identity. Rows never mix, so a batch's row i is bitwise
+  /// equal to row i inferred alone — the serving layer batches requests
+  /// through this path and tests assert the equivalence.
+  virtual Tensor infer(const Tensor& x) const = 0;
+
+  /// infer(x), remembering the input for backward(). `training` toggles
+  /// dropout, the one layer whose training output differs from infer().
   virtual Tensor forward(const Tensor& x, bool training) = 0;
 
   /// Propagate `grad_out` (dL/d output) to dL/d input, accumulating
@@ -43,15 +55,6 @@ class Layer {
     return backward(grad_out);
   }
 
-  /// Inference-only forward over a (possibly multi-sample) batch: skips
-  /// every backward cache (input copies, ReLU masks, pool argmaxes) and may
-  /// use tighter loops, but MUST produce bitwise-identical output to
-  /// forward(x, false) on every input, NaN, infinities and -0 included —
-  /// the serving layer batches requests through this path and the
-  /// per-sample/batched equivalence is asserted in tests.
-  /// backward() after infer() is undefined; call forward() when training.
-  virtual Tensor infer(const Tensor& x) { return forward(x, /*training=*/false); }
-
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<Param> params() { return {}; }
 
@@ -61,11 +64,9 @@ class Layer {
   /// Initialize weights (no-op for stateless layers).
   virtual void init(util::Rng&) {}
 
-  /// Deep copy (weights included, forward/backward caches reset) for
-  /// per-worker model replicas in the parallel layer. nullptr means the
-  /// layer is not cloneable, which makes Model::clonable() false and sends
-  /// parallel callers down their serial fallback.
-  virtual std::unique_ptr<Layer> clone() const { return nullptr; }
+  /// Deep copy: weights included, nothing remembered from a forward.
+  /// Parallel training and per-lane attack classifiers own one copy each.
+  virtual std::unique_ptr<Layer> clone() const = 0;
 
   /// Rebind any internal Rng (dropout). Parallel training points each model
   /// replica at a chunk-specific Rng seeded by counter-split, so mask draws

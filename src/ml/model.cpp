@@ -27,9 +27,9 @@ Tensor Model::forward(const Tensor& x, bool training) {
   return cur;
 }
 
-Tensor Model::infer(const Tensor& x) {
+Tensor Model::infer(const Tensor& x) const {
   Tensor cur = x;
-  for (auto& l : layers_) cur = l->infer(cur);
+  for (const auto& l : layers_) cur = l->infer(cur);
   return cur;
 }
 
@@ -78,23 +78,9 @@ std::string Model::summary() {
   return ss.str();
 }
 
-bool Model::clonable() const {
-  for (const auto& l : layers_) {
-    if (!l->clone()) return false;
-  }
-  return true;
-}
-
 Model Model::clone() const {
   Model copy;
-  for (const auto& l : layers_) {
-    auto c = l->clone();
-    if (!c) {
-      throw std::logic_error("Model::clone: layer '" + l->describe() +
-                             "' is not cloneable");
-    }
-    copy.layers_.push_back(std::move(c));
-  }
+  for (const auto& l : layers_) copy.layers_.push_back(l->clone());
   return copy;
 }
 
@@ -249,6 +235,33 @@ std::size_t argmax(const std::vector<double>& z) {
   return best;
 }
 
+std::vector<std::vector<double>> infer_logits(
+    const Model& model, std::size_t dim, std::size_t classes,
+    const std::vector<std::vector<double>>& rows) {
+  if (rows.empty()) return {};
+  Tensor batch({rows.size(), 1, dim});
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].size() != dim) {
+      throw std::invalid_argument("infer_logits: row " + std::to_string(i) +
+                                  " has dim " + std::to_string(rows[i].size()) +
+                                  ", expected " + std::to_string(dim));
+    }
+    for (std::size_t j = 0; j < dim; ++j) {
+      batch[i * dim + j] = static_cast<float>(rows[i][j]);
+    }
+  }
+  const Tensor out = model.infer(batch);
+  if (out.rank() != 2 || out.dim(0) != rows.size() || out.dim(1) != classes) {
+    throw std::logic_error("infer_logits: unexpected batch output shape " +
+                           out.shape_string());
+  }
+  std::vector<std::vector<double>> z(rows.size(), std::vector<double>(classes));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t k = 0; k < classes; ++k) z[i][k] = out.at2(i, k);
+  }
+  return z;
+}
+
 std::vector<std::vector<double>> DifferentiableClassifier::logits_batch(
     const std::vector<std::vector<double>>& xs) {
   std::vector<std::vector<double>> z;
@@ -330,38 +343,15 @@ std::vector<double> ModelClassifier::input_grad(
 }
 
 std::vector<double> ModelClassifier::logits(const std::vector<double>& x) {
-  return to_logits(model_->forward(to_input(x), /*training=*/false));
+  return to_logits(model_->infer(to_input(x)));
 }
 
 std::vector<std::vector<double>> ModelClassifier::logits_batch(
     const std::vector<std::vector<double>>& xs) {
-  if (xs.empty()) return {};
-  Tensor batch({xs.size(), 1, dim_});
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (xs[i].size() != dim_) {
-      throw std::invalid_argument("ModelClassifier::logits_batch: row " +
-                                  std::to_string(i) + " has dim " +
-                                  std::to_string(xs[i].size()) + ", expected " +
-                                  std::to_string(dim_));
-    }
-    for (std::size_t j = 0; j < dim_; ++j) {
-      batch[i * dim_ + j] = static_cast<float>(xs[i][j]);
-    }
-  }
-  const Tensor out = model_->infer(batch);
-  if (out.rank() != 2 || out.dim(0) != xs.size() || out.dim(1) != classes_) {
-    throw std::logic_error("ModelClassifier: unexpected batch output shape " +
-                           out.shape_string());
-  }
-  std::vector<std::vector<double>> z(xs.size(), std::vector<double>(classes_));
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    for (std::size_t k = 0; k < classes_; ++k) z[i][k] = out.at2(i, k);
-  }
-  return z;
+  return infer_logits(*model_, dim_, classes_, xs);
 }
 
 std::unique_ptr<DifferentiableClassifier> ModelClassifier::clone() const {
-  if (!model_->clonable()) return nullptr;
   auto owned = std::make_unique<Model>(model_->clone());
   return std::unique_ptr<DifferentiableClassifier>(
       new ModelClassifier(std::move(owned), dim_, classes_));

@@ -1,5 +1,10 @@
 // Sequential model container and the differentiable-classifier interface
 // the adversarial attacks consume.
+//
+// Model::infer is const and touches no layer state, so one Model serves any
+// number of threads at once (the server's workers share each checkpoint's
+// model). forward() remembers each layer's input for the backward passes
+// that follow it; a thread that runs forward() needs a Model of its own.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +31,14 @@ class Model {
   /// Initialize all layer parameters.
   void init(util::Rng& rng);
 
-  /// Forward pass. `training` enables dropout.
+  /// Forward pass that remembers each layer's input for backward().
+  /// `training` enables dropout; forward(x, false) returns infer(x).
   Tensor forward(const Tensor& x, bool training = false);
 
-  /// Batched inference-only forward: every layer takes its cache-free
-  /// `Layer::infer` path, which is bitwise-identical to forward(x, false)
-  /// per sample (asserted in tests/serve_test.cpp) but skips backward
-  /// bookkeeping — the serving layer's batch path. backward() may not
-  /// follow infer().
-  Tensor infer(const Tensor& x);
+  /// The network's output for a batch, through every layer's const
+  /// Layer::infer. Row i is bitwise equal to row i inferred alone
+  /// (asserted in tests/serve_test.cpp).
+  Tensor infer(const Tensor& x) const;
 
   /// Backward pass from dL/d logits; must follow the matching forward().
   /// Returns dL/d input; parameter gradients are accumulated.
@@ -64,13 +68,8 @@ class Model {
   util::Status save_checked(const std::string& path);
   util::Status load_checked(const std::string& path);
 
-  /// True when every layer supports clone() — the gate parallel callers
-  /// check before building per-worker replicas.
-  bool clonable() const;
-
-  /// Deep copy: same architecture, same weights, fresh forward/backward
-  /// caches. Throws std::logic_error if any layer is not cloneable
-  /// (clonable() lets callers check first and fall back to serial).
+  /// Deep copy: same architecture, same weights, nothing remembered from a
+  /// forward.
   Model clone() const;
 
   /// Copy parameter values (not gradients) from a same-architecture model.
@@ -114,9 +113,10 @@ class DifferentiableClassifier {
   virtual std::vector<double> grad_weighted(const std::vector<double>& x,
                                             const std::vector<double>& weights);
 
-  /// Independent copy safe to use from another thread (the forward/backward
-  /// caches inside a Model make a shared instance racy). nullptr means "not
-  /// supported" and sends parallel harnesses down their serial fallback.
+  /// Independent copy safe to use from another thread (the inputs each
+  /// forward remembers for backward make a shared instance racy for
+  /// gradients). nullptr means "not supported" and sends parallel harnesses
+  /// down their serial fallback.
   virtual std::unique_ptr<DifferentiableClassifier> clone() const {
     return nullptr;
   }
@@ -152,6 +152,13 @@ std::vector<double> softmax(const std::vector<double>& z);
 /// Index of the largest logit; the first one wins a tie (predict()'s rule).
 std::size_t argmax(const std::vector<double>& z);
 
+/// Logits of every row through one Model::infer over a (rows, 1, dim)
+/// batch; the model's output must be (rows, classes). Safe to call from any
+/// number of threads on one model.
+std::vector<std::vector<double>> infer_logits(
+    const Model& model, std::size_t dim, std::size_t classes,
+    const std::vector<std::vector<double>>& rows);
+
 /// Adapter: a Model whose input is (1, 1, D) and whose output is (1, K).
 class ModelClassifier : public DifferentiableClassifier {
  public:
@@ -161,7 +168,7 @@ class ModelClassifier : public DifferentiableClassifier {
   std::size_t input_dim() const override { return dim_; }
   std::size_t num_classes() const override { return classes_; }
   std::vector<double> logits(const std::vector<double>& x) override;
-  /// One batched Model::infer pass over all rows.
+  /// infer_logits over all rows: one batched Model::infer.
   std::vector<std::vector<double>> logits_batch(
       const std::vector<std::vector<double>>& xs) override;
   std::vector<double> grad_logit(const std::vector<double>& x,
@@ -176,8 +183,7 @@ class ModelClassifier : public DifferentiableClassifier {
                                 std::vector<double>* logits_out) override;
 
   /// Clones the underlying Model into a copy that owns its network, so the
-  /// replica's lifetime is self-contained. Returns nullptr when the model
-  /// has non-cloneable layers.
+  /// replica's lifetime is self-contained.
   std::unique_ptr<DifferentiableClassifier> clone() const override;
 
   Model& model() { return *model_; }
@@ -192,7 +198,7 @@ class ModelClassifier : public DifferentiableClassifier {
         owned_(std::move(owned)) {}
 
   Tensor to_input(const std::vector<double>& x) const;
-  /// The (1, K) output of a forward as logits.
+  /// The (1, K) output of a forward or infer as logits.
   std::vector<double> to_logits(const Tensor& out) const;
   /// dL/d input of the last forward, seeded with dL/d logits = weights.
   std::vector<double> input_grad(const std::vector<double>& weights);

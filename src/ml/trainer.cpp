@@ -190,14 +190,13 @@ TrainStats train(Model& model, const LabeledData& data, const TrainConfig& cfg) 
   if (data.rows.size() != data.labels.size()) {
     throw std::invalid_argument("train: label count mismatch");
   }
+  if (cfg.batch_size == 0) {
+    throw std::invalid_argument("train: batch_size must be positive");
+  }
   // Name the dense-math path this run trains on, so throughput numbers in
   // logs are attributable to the kernel layer (compiled tile vs scalar).
   util::log_info("train: kernels [", kernels::active_config_summary(), "]");
-  if (cfg.threads != 1) {
-    if (model.clonable()) return train_chunked(model, data, cfg);
-    util::log_warn(
-        "train: model has non-cloneable layers; using the serial path");
-  }
+  if (cfg.threads != 1) return train_chunked(model, data, cfg);
   util::Rng rng(cfg.seed);
   Adam opt(cfg.learning_rate);
   TrainStats stats;
@@ -239,7 +238,8 @@ TrainStats train(Model& model, const LabeledData& data, const TrainConfig& cfg) 
   return stats;
 }
 
-std::vector<std::uint8_t> predict_all(Model& model, const LabeledData& data,
+std::vector<std::uint8_t> predict_all(const Model& model,
+                                      const LabeledData& data,
                                       std::size_t batch_size) {
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
@@ -247,14 +247,13 @@ std::vector<std::uint8_t> predict_all(Model& model, const LabeledData& data,
   out.reserve(data.size());
   for (std::size_t begin = 0; begin < order.size(); begin += batch_size) {
     const std::size_t end = std::min(begin + batch_size, order.size());
-    const Tensor logits =
-        model.forward(data.batch_tensor(order, begin, end), /*training=*/false);
+    const Tensor logits = model.infer(data.batch_tensor(order, begin, end));
     for (auto label : argmax_rows(logits)) out.push_back(label);
   }
   return out;
 }
 
-ConfusionMatrix evaluate(Model& model, const LabeledData& data) {
+ConfusionMatrix evaluate(const Model& model, const LabeledData& data) {
   return confusion(predict_all(model, data), data.labels);
 }
 

@@ -39,7 +39,6 @@ struct TrainConfig {
   /// only on the batch size, so chunked results are bitwise identical at
   /// any worker count — but not bitwise equal to the legacy path (different
   /// floating-point summation order and per-chunk dropout streams).
-  /// Requires a clonable model; otherwise falls back to the legacy path.
   std::size_t threads = 1;
 };
 
@@ -48,14 +47,17 @@ struct TrainStats {
   double final_loss = 0.0;
 };
 
-/// Train `model` in place with Adam + softmax cross-entropy.
+/// Train `model` in place with Adam + softmax cross-entropy. Throws
+/// std::invalid_argument on an empty dataset, a label count that differs
+/// from the row count, or batch_size 0.
 TrainStats train(Model& model, const LabeledData& data, const TrainConfig& cfg);
 
-/// Predicted labels for every row (inference mode, batched).
-std::vector<std::uint8_t> predict_all(Model& model, const LabeledData& data,
+/// Predicted labels for every row, through Model::infer in batches.
+std::vector<std::uint8_t> predict_all(const Model& model,
+                                      const LabeledData& data,
                                       std::size_t batch_size = 256);
 
 /// Convenience: train-set/test-set evaluation.
-ConfusionMatrix evaluate(Model& model, const LabeledData& data);
+ConfusionMatrix evaluate(const Model& model, const LabeledData& data);
 
 }  // namespace gea::ml

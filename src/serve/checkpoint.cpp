@@ -129,12 +129,6 @@ util::Result<CheckpointPtr> Checkpoint::load(const std::string& dir,
   if (auto st = ckpt->model_.load_checked(join(dir, kModelFile)); !st.is_ok()) {
     return st.with_context("Checkpoint::load " + dir);
   }
-  if (!ckpt->model_.clonable()) {
-    return Status::error(ErrorCode::kFailedPrecondition,
-                         "architecture has non-cloneable layers; workers "
-                         "cannot build replicas")
-        .with_context("Checkpoint::load " + dir);
-  }
   if (spec.expect_scaler) {
     if (auto st = ckpt->scaler_.load_checked(join(dir, kScalerFile));
         !st.is_ok()) {

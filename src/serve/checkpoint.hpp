@@ -10,7 +10,8 @@
 // truncated file, or a schema that disagrees with the spec's, yields an
 // error Result and no partially-initialized object, which is what lets the
 // registry promise that a failed hot-swap leaves the serving model
-// untouched.
+// untouched. A loaded Checkpoint never changes: its one model() is run by
+// every server worker at once through the const Model::infer.
 #pragma once
 
 #include <memory>
@@ -63,10 +64,10 @@ class Checkpoint {
 
   /// Rebuild the architecture named by `spec`, then load weights and scaler
   /// from `dir`. Errors (missing dir, bad magic, truncation, size
-  /// mismatches, non-cloneable architecture, or an on-disk schema.txt that
-  /// disagrees with spec.schema) come back as a descriptive Status and
-  /// never a half-loaded checkpoint. A directory without schema.txt is a
-  /// pre-schema checkpoint and loads only under the binary schema.
+  /// mismatches, or an on-disk schema.txt that disagrees with spec.schema)
+  /// come back as a descriptive Status and never a half-loaded checkpoint.
+  /// A directory without schema.txt is a pre-schema checkpoint and loads
+  /// only under the binary schema.
   static util::Result<std::shared_ptr<const Checkpoint>> load(
       const std::string& dir, std::string version,
       const CheckpointSpec& spec = {});
@@ -81,10 +82,14 @@ class Checkpoint {
     return has_scaler_ ? &scaler_ : nullptr;
   }
 
-  /// Fresh per-worker model replica (same weights, private forward caches).
-  /// Replicas must not outlive the Checkpoint: dropout layers share its Rng
-  /// (never drawn from at inference), which workers guarantee by holding
-  /// the shared_ptr alongside the replica.
+  /// The checkpoint's model, for inference: infer() from any number of
+  /// threads at once.
+  const ml::Model& model() const { return model_; }
+
+  /// A private copy of the model (same weights) for a caller that needs
+  /// forward() and gradients. The copy must not outlive the Checkpoint:
+  /// its dropout layers share the Checkpoint's Rng (never drawn from at
+  /// inference).
   ml::Model clone_model() const { return model_.clone(); }
 
  private:

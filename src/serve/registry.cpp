@@ -25,6 +25,7 @@ util::Status ModelRegistry::install(const std::string& version,
   versions_[version] = checkpoint;
   if (activate || first) {
     active_ = std::move(checkpoint);
+    active_version_ = version;
     generation_.fetch_add(1, std::memory_order_acq_rel);
   }
   return Status::ok();
@@ -41,6 +42,7 @@ util::Status ModelRegistry::activate(const std::string& version) {
         .with_context("ModelRegistry::activate");
   }
   active_ = it->second;
+  active_version_ = version;
   generation_.fetch_add(1, std::memory_order_acq_rel);
   return Status::ok();
 }
@@ -55,7 +57,7 @@ util::Status ModelRegistry::retire(const std::string& version) {
                          "version '" + version + "' not installed")
         .with_context("ModelRegistry::retire");
   }
-  if (it->second == active_) {
+  if (version == active_version_) {
     return Status::error(ErrorCode::kFailedPrecondition,
                          "version '" + version + "' is active")
         .with_context("ModelRegistry::retire");
@@ -71,7 +73,7 @@ CheckpointPtr ModelRegistry::active() const {
 
 std::string ModelRegistry::active_version() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return active_ ? active_->version() : "";
+  return active_version_;
 }
 
 std::vector<std::string> ModelRegistry::versions() const {

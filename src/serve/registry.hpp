@@ -4,10 +4,10 @@
 // of them active. Activation is a shared_ptr swap under a mutex: readers
 // (server workers) copy the pointer, so an in-flight batch keeps whatever
 // checkpoint it started with while new batches pick up the replacement —
-// no torn state, no barrier on the request path. A monotonically increasing
-// generation counter lets workers detect staleness with one atomic load
-// and re-clone their private model replica only when something actually
-// changed.
+// no torn state, no barrier on the request path. Every worker runs the
+// active checkpoint's one model, so a swap copies no model. A monotonically
+// increasing generation counter counts activations (the admin plane's
+// /readyz renders it).
 //
 // Loading goes through Checkpoint::load (Status-returning, all-or-nothing),
 // so a corrupt checkpoint on disk fails the install and leaves both the
@@ -44,15 +44,18 @@ class ModelRegistry {
   util::Status activate(const std::string& version);
 
   /// Drop a non-active version from the map (in-flight batches holding its
-  /// shared_ptr finish safely). kFailedPrecondition for the active version.
+  /// shared_ptr finish safely). kFailedPrecondition for the version
+  /// active_version() names, even when a later install() staged a new
+  /// checkpoint under that name without activating it.
   util::Status retire(const std::string& version);
 
   /// Current active checkpoint; null until the first activation.
   CheckpointPtr active() const;
+  /// The name the active checkpoint was installed or activated under ("" until
+  /// the first activation).
   std::string active_version() const;
 
-  /// Bumped on every activation; workers compare against their cached value
-  /// to decide whether to refresh replicas.
+  /// Bumped on every activation.
   std::uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
@@ -63,6 +66,7 @@ class ModelRegistry {
   mutable std::mutex mu_;
   std::map<std::string, CheckpointPtr> versions_;
   CheckpointPtr active_;
+  std::string active_version_;
   std::atomic<std::uint64_t> generation_{0};
 };
 

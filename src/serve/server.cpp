@@ -185,33 +185,15 @@ void DetectionServer::worker_loop() {
   }
 }
 
-namespace {
-
-/// Worker-private serving state, refreshed on registry generation change.
-struct Replica {
-  CheckpointPtr ckpt;            // keeps the dropout Rng + scaler alive
-  std::optional<ml::Model> model;
-  std::uint64_t generation = 0;  // registry starts at 0; activation bumps
-};
-
-thread_local Replica t_replica;
-
-}  // namespace
-
 void DetectionServer::process_batch(std::vector<Request>& batch) {
   obs::TraceSpan batch_span("serve.batch");
   const auto dequeued = Clock::now();
 
-  // Refresh the private replica iff the registry moved (one atomic load on
-  // the steady path; a clone only right after a hot-swap).
-  const std::uint64_t gen = registry_.generation();
-  if (gen != t_replica.generation || !t_replica.model.has_value()) {
-    t_replica.ckpt = registry_.active();
-    t_replica.model.reset();
-    if (t_replica.ckpt != nullptr) t_replica.model = t_replica.ckpt->clone_model();
-    t_replica.generation = gen;
-  }
-  if (!t_replica.model.has_value()) {
+  // One read of the active checkpoint per batch; holding the pointer keeps
+  // its model alive through a concurrent hot-swap, so every verdict of the
+  // batch comes from one version.
+  const CheckpointPtr active = registry_.active();
+  if (active == nullptr) {
     for (auto& req : batch) {
       stats_.on_rejected_no_model();
       req.promise.set_value(util::Result<Verdict>(
@@ -220,7 +202,7 @@ void DetectionServer::process_batch(std::vector<Request>& batch) {
     }
     return;
   }
-  const Checkpoint& ckpt = *t_replica.ckpt;
+  const Checkpoint& ckpt = *active;
   const std::size_t dim = ckpt.spec().input_dim;
 
   // Deadline and shape checks at dequeue: expired or malformed requests
@@ -277,16 +259,9 @@ void DetectionServer::process_batch(std::vector<Request>& batch) {
     }
   }
 
-  ml::ModelClassifier clf(*t_replica.model, dim, ckpt.spec().num_classes());
-  std::vector<std::vector<double>> logits;
   util::Stopwatch infer_sw;
-  if (config_.max_batch == 1) {
-    // Unbatched baseline: the legacy per-sample forward path.
-    logits.reserve(xs.size());
-    for (const auto& x : xs) logits.push_back(clf.logits(x));
-  } else {
-    logits = clf.logits_batch(xs);
-  }
+  auto logits =
+      ml::infer_logits(ckpt.model(), dim, ckpt.spec().num_classes(), xs);
   const double infer_ms = infer_sw.elapsed_ms();
   stats_.on_batch(live.size());
 

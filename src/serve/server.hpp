@@ -11,12 +11,14 @@
 //   max_wait_us (or until max_batch) to coalesce stragglers into one
 //   Model::infer call. Deadlines are checked at dequeue: an expired request
 //   is failed with kDeadlineExceeded without paying for inference.
-//   Each worker owns a private model replica (cloned from the active
-//   checkpoint) and refreshes it only when the registry generation moves,
-//   so hot-swaps cost one atomic load per batch on the steady path.
+//   Every worker runs the active checkpoint's one model through the const
+//   Model::infer: a worker reads registry.active() once per batch and holds
+//   that CheckpointPtr until the batch's verdicts are set, so a hot-swap
+//   costs the registry's pointer swap and nothing else, and no worker copies
+//   a model.
 //
 // Batching is an implementation detail of latency/throughput, never of
-// results: the batched path is bitwise-identical to per-sample forward
+// results: a batch's row i is bitwise-identical to that row inferred alone
 // (tests/serve_test.cpp asserts this), so a verdict does not depend on
 // which requests happened to share a batch.
 #pragma once
@@ -45,9 +47,8 @@ struct ServerConfig {
   std::size_t workers = 0;
   /// Bounded queue capacity; pushes beyond this reject with kUnavailable.
   std::size_t queue_capacity = 256;
-  /// Micro-batch ceiling. 1 disables batching entirely (each request runs
-  /// the legacy per-sample Model::forward path — the bench's unbatched
-  /// baseline).
+  /// Micro-batch ceiling. 1 disables batching: each request runs as a
+  /// batch of one through Model::infer (the bench's unbatched baseline).
   std::size_t max_batch = 16;
   /// How long a worker lingers for stragglers after the first dequeue.
   std::size_t max_wait_us = 200;

@@ -268,6 +268,29 @@ TEST(MaxPool1D, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(g[1], 10);
   EXPECT_FLOAT_EQ(g[2], 20);
   EXPECT_FLOAT_EQ(g[3], 0);
+
+  // Each window's first maximum under `>` takes the value and the gradient:
+  // a tie goes to the earlier element, a leading NaN wins its window (no
+  // value compares greater than it), and a trailing NaN loses.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x =
+      Tensor::from_values({1, 1, 8}, {3, 3, nan, 4, 4, nan, -0.0f, 0.0f});
+  const Tensor y = p.forward(x, false);
+  const Tensor yi = p.infer(x);
+  ASSERT_EQ(yi.shape(), y.shape());
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(yi[i]),
+              std::bit_cast<std::uint32_t>(y[i]));
+  }
+  EXPECT_EQ(y[0], 3.0f);
+  EXPECT_TRUE(std::isnan(y[1]));
+  EXPECT_EQ(y[2], 4.0f);
+  EXPECT_TRUE(std::signbit(y[3]));  // -0 and +0 tie: the first one wins
+  const auto gt = p.backward(Tensor::from_values({1, 1, 4}, {10, 20, 30, 40}));
+  const std::vector<float> want = {10, 0, 20, 0, 30, 0, 40, 0};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(gt[i], want[i]) << "element " << i;
+  }
 }
 
 TEST(MaxPool1D, GradientCheck) {
@@ -680,12 +703,16 @@ TEST(ModelClassifier, GradLossLogitsAndGradientMatchComposition) {
 
 /// Identity layer that counts the passes run through it.
 struct PassCounts {
-  int forward = 0, backward = 0, backward_input = 0;
+  int forward = 0, infer = 0, backward = 0, backward_input = 0;
 };
 
 class CountingIdentity : public Layer {
  public:
   explicit CountingIdentity(PassCounts& counts) : counts_(&counts) {}
+  Tensor infer(const Tensor& x) const override {
+    ++counts_->infer;
+    return x;
+  }
   Tensor forward(const Tensor& x, bool) override {
     ++counts_->forward;
     return x;
@@ -699,6 +726,9 @@ class CountingIdentity : public Layer {
     return g;
   }
   std::string describe() const override { return "CountingIdentity"; }
+  LayerPtr clone() const override {
+    return std::make_unique<CountingIdentity>(*counts_);
+  }
 
  private:
   PassCounts* counts_;
@@ -718,13 +748,17 @@ TEST(ModelClassifier, GradLossRunsOneForwardAndOneInputBackward) {
   std::vector<double> z;
   (void)clf.grad_loss(x, 1, &z);
   EXPECT_EQ(counts.forward, 1);
+  EXPECT_EQ(counts.infer, 0);
   EXPECT_EQ(counts.backward_input, 1);
   EXPECT_EQ(counts.backward, 0);
 
+  // The composition's logits() runs infer; its grad_weighted() runs the
+  // forward that the input backward follows.
   counts = {};
   ComposedClassifier composed(clf);
   (void)composed.grad_loss(x, 1, &z);
-  EXPECT_EQ(counts.forward, 2);
+  EXPECT_EQ(counts.forward, 1);
+  EXPECT_EQ(counts.infer, 1);
   EXPECT_EQ(counts.backward_input, 1);
   EXPECT_EQ(counts.backward, 0);
 }
@@ -836,7 +870,8 @@ TEST(ModelClassifier, LogitsBatchRunsOneForwardForAllRows) {
                                     {0.2, 0.4, 0.6, 0.8},
                                     {0.9, 0.1, 0.5, 0.3}});
   EXPECT_EQ(z.size(), 3u);
-  EXPECT_EQ(counts.forward, 1);
+  EXPECT_EQ(counts.infer, 1);
+  EXPECT_EQ(counts.forward, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -884,6 +919,28 @@ TEST(Metrics, SizeMismatchThrows) {
 TEST(Trainer, EmptyDatasetThrows) {
   Model m = make_mlp_baseline(4, 2);
   EXPECT_THROW(train(m, LabeledData{}, TrainConfig{}), std::invalid_argument);
+}
+
+// A zero batch size would never advance the epoch loop; both the
+// whole-batch (threads 1) and the chunked (threads 2) path reject it before
+// any batch runs.
+TEST(Trainer, ZeroBatchSizeRejectedOnBothPaths) {
+  Rng rng(53);
+  const auto data = make_toy_data(20, 4, rng);
+  for (std::size_t threads : {1u, 2u}) {
+    Model m = make_mlp_baseline(4, 2);
+    TrainConfig cfg;
+    cfg.epochs = 1;
+    cfg.batch_size = 0;
+    cfg.threads = threads;
+    try {
+      train(m, data, cfg);
+      ADD_FAILURE() << "threads " << threads << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("batch_size"), std::string::npos)
+          << "threads " << threads << ": " << e.what();
+    }
+  }
 }
 
 TEST(Trainer, EarlyStopShortensRun) {

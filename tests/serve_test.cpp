@@ -10,6 +10,7 @@
 #include <future>
 #include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bingen/families.hpp"
@@ -259,6 +260,21 @@ TEST(Registry, InstallActivateRetireGenerations) {
   EXPECT_TRUE(reg.retire("v1").is_ok());
   EXPECT_EQ(reg.activate("v1").code(), ErrorCode::kNotFound);
   EXPECT_EQ(reg.versions(), std::vector<std::string>{"v2"});
+
+  // A new build staged under the active name, without activating it: the
+  // name stays active, so retire still refuses it, and activating the name
+  // then serves the staged checkpoint.
+  ASSERT_TRUE(reg.load("v1", d1).is_ok());
+  auto staged = serve::Checkpoint::load(d2, "v1");
+  ASSERT_TRUE(staged.is_ok()) << staged.status().to_string();
+  const serve::CheckpointPtr rebuilt = staged.value();
+  ASSERT_TRUE(reg.install("v1", rebuilt, /*activate=*/false).is_ok());
+  EXPECT_EQ(reg.active_version(), "v1");
+  EXPECT_NE(reg.active(), rebuilt);
+  EXPECT_EQ(reg.retire("v1").code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(reg.versions(), (std::vector<std::string>{"v1", "v2"}));
+  ASSERT_TRUE(reg.activate("v1").is_ok());
+  EXPECT_EQ(reg.active(), rebuilt);
   std::filesystem::remove_all(d1);
   std::filesystem::remove_all(d2);
 }
@@ -320,10 +336,15 @@ TEST(Server, DeterministicAcrossWorkerCounts) {
   std::vector<std::vector<double>> raws;
   for (int i = 0; i < 24; ++i) raws.push_back(synthetic_row(data_rng));
 
+  // (workers, max_batch): batched at three worker counts, and unbatched
+  // (each request a batch of one through Model::infer).
+  const std::vector<std::pair<std::size_t, std::size_t>> configs = {
+      {1, 16}, {2, 16}, {8, 16}, {2, 1}};
   std::vector<std::vector<std::vector<double>>> per_count;  // [cfg][req][k]
-  for (std::size_t workers : {1u, 2u, 8u}) {
+  for (const auto& [workers, max_batch] : configs) {
     serve::ServerConfig cfg;
     cfg.workers = workers;
+    cfg.max_batch = max_batch;
     serve::DetectionServer server(reg, cfg);
     std::vector<std::future<util::Result<serve::Verdict>>> futures;
     for (const auto& raw : raws) futures.push_back(server.submit(raw));
@@ -337,7 +358,7 @@ TEST(Server, DeterministicAcrossWorkerCounts) {
   }
   for (std::size_t c = 1; c < per_count.size(); ++c) {
     for (std::size_t i = 0; i < raws.size(); ++i) {
-      EXPECT_EQ(per_count[c][i], per_count[0][i]) << "workers cfg " << c;
+      EXPECT_EQ(per_count[c][i], per_count[0][i]) << "server cfg " << c;
     }
   }
   std::filesystem::remove_all(dir);
@@ -621,21 +642,28 @@ TEST(Server, HotSwapIsAtomicUnderTraffic) {
   const auto logits_v2 = reference_logits(d2, raw);
   ASSERT_NE(logits_v1, logits_v2);  // different weight seeds
 
+  // Four workers run infer on the active checkpoint's one shared model
+  // while four clients keep them busy and the main thread swaps versions.
   serve::ServerConfig cfg;
-  cfg.workers = 2;
+  cfg.workers = 4;
   serve::DetectionServer server(reg, cfg);
 
   std::atomic<bool> stop_traffic{false};
   std::atomic<int> torn{0};
-  std::thread traffic([&] {
-    while (!stop_traffic.load()) {
-      auto r = server.detect(raw);
-      if (!r.is_ok()) continue;  // only transient kUnavailable is possible
-      const auto& l = r.value().logits;
-      // Every verdict must come from exactly v1 or v2 — never a mix.
-      if (l != logits_v1 && l != logits_v2) torn.fetch_add(1);
-    }
-  });
+  std::atomic<int> served{0};
+  std::vector<std::thread> traffic;
+  for (int c = 0; c < 4; ++c) {
+    traffic.emplace_back([&] {
+      while (!stop_traffic.load()) {
+        auto r = server.detect(raw);
+        if (!r.is_ok()) continue;  // only transient kUnavailable is possible
+        served.fetch_add(1);
+        const auto& l = r.value().logits;
+        // Every verdict must come from exactly v1 or v2 — never a mix.
+        if (l != logits_v1 && l != logits_v2) torn.fetch_add(1);
+      }
+    });
+  }
 
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(reg.load("v2", d2).is_ok());
@@ -645,9 +673,10 @@ TEST(Server, HotSwapIsAtomicUnderTraffic) {
     ASSERT_TRUE(reg.activate("v1").is_ok());
   }
   stop_traffic.store(true);
-  traffic.join();
+  for (auto& t : traffic) t.join();
   server.stop();
   EXPECT_EQ(torn.load(), 0);
+  EXPECT_GT(served.load(), 0);
   std::filesystem::remove_all(d1);
   std::filesystem::remove_all(d2);
 }
