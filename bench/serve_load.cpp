@@ -2,11 +2,11 @@
 //
 // Sweeps worker count {1, 2, 8} x micro-batching {off (max_batch=1: each
 // request a batch of one through Model::infer), on (max_batch=16, up to 16
-// requests per Model::infer)} under a closed loop (16 synchronous clients,
-// each submit->wait), then runs one open-loop stage that offers ~2x the
-// measured capacity to exercise admission control: the overflow must show
-// up as fast kUnavailable rejections, never as client hangs or queue
-// growth.
+// requests per Model::infer)} under a closed loop (48 synchronous clients,
+// or --threads N, each submit->wait), then runs one open-loop stage that
+// offers ~2x the measured capacity to exercise admission control: the
+// overflow must show up as fast kUnavailable rejections, never as client
+// hangs or queue growth.
 //
 // The headline number is batched_speedup_8w: closed-loop QPS with batching
 // on vs off at 8 workers. Batching never changes verdicts (a batch's rows

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -29,7 +30,8 @@ DetectionServer::DetectionServer(ModelRegistry& registry,
                          : std::make_shared<features::FeatureCache>(
                                config.feature_cache_capacity)),
       featurize_ms_(
-          &obs::MetricsRegistry::global().histogram("serve.featurize_ms")) {
+          &obs::MetricsRegistry::global().histogram("serve.featurize_ms")),
+      featurizers_(util::default_thread_count()) {
   if (config_.workers == 0) config_.workers = util::default_thread_count();
   if (config_.max_batch == 0) config_.max_batch = 1;
   workers_.reserve(config_.workers);
@@ -41,8 +43,14 @@ DetectionServer::DetectionServer(ModelRegistry& registry,
 DetectionServer::~DetectionServer() { stop(); }
 
 void DetectionServer::stop() {
-  if (stopped_) return;
-  stopped_ = true;
+  {
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    if (stopped_) return;
+    stopped_ = true;
+  }
+  // No program is admitted from here on; every admitted one is enqueued or
+  // failed before the row queue closes, so no future is left broken.
+  featurizers_.wait_idle();
   queue_.close();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
@@ -61,89 +69,165 @@ std::future<util::Result<Verdict>> DetectionServer::reject(
   return f;
 }
 
-std::optional<DetectionServer::Clock::time_point>
-DetectionServer::resolve_deadline(double deadline_ms) const {
+util::Result<std::optional<DetectionServer::Clock::time_point>>
+DetectionServer::resolve_deadline(double deadline_ms,
+                                  Clock::time_point now) const {
   if (deadline_ms < 0.0) deadline_ms = config_.default_deadline_ms;
-  if (deadline_ms <= 0.0) return std::nullopt;
-  return Clock::now() +
-         std::chrono::duration_cast<Clock::duration>(
-             std::chrono::duration<double, std::milli>(deadline_ms));
+  if (std::isnan(deadline_ms)) {
+    return Status::error(ErrorCode::kInvalidArgument, "deadline is NaN")
+        .with_context("DetectionServer::submit");
+  }
+  const std::optional<Clock::time_point> none;
+  if (deadline_ms <= 0.0) return none;
+  // A deadline past the end of the clock (+inf included) can never fire.
+  // Checked before converting: a double beyond the clock's int64 range
+  // does not convert.
+  const auto headroom = Clock::time_point::max() - now;
+  if (!(deadline_ms <
+        std::chrono::duration<double, std::milli>(headroom).count())) {
+    return none;
+  }
+  const auto budget = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::milli>(deadline_ms));
+  if (budget >= headroom) return none;  // rounded up to the end
+  return std::optional<Clock::time_point>(now + budget);
 }
 
 std::future<util::Result<Verdict>> DetectionServer::submit(
     std::vector<double> features, double deadline_ms, obs::TraceContext ctx) {
-  return enqueue(std::move(features), resolve_deadline(deadline_ms), ctx);
-}
-
-std::future<util::Result<Verdict>> DetectionServer::enqueue(
-    std::vector<double> features, std::optional<Clock::time_point> deadline,
-    obs::TraceContext ctx) {
-  stats_.on_submitted();
-  if (registry_.active() == nullptr) {
-    stats_.on_rejected_no_model();
-    return reject(Status::error(ErrorCode::kUnavailable, "no active model")
-                      .with_context("DetectionServer::submit"));
-  }
   Request req;
-  req.features = std::move(features);
-  req.enqueued = Clock::now();
-  if (deadline.has_value() && req.enqueued > *deadline) {
-    stats_.on_expired();  // e.g. featurization outlasted it: take no slot
-    return reject(Status::error(ErrorCode::kDeadlineExceeded,
-                                "request expired before enqueue")
-                      .with_context("DetectionServer::submit"));
+  req.admitted = Clock::now();
+  stats_.on_submitted();
+  auto deadline = resolve_deadline(deadline_ms, req.admitted);
+  if (!deadline.is_ok()) {
+    stats_.on_rejected_invalid();
+    return reject(deadline.status());
   }
-  req.deadline = deadline;
+  req.features = std::move(features);
+  req.deadline = deadline.value();
   req.ctx = ctx;
   auto future = req.promise.get_future();
-  if (!queue_.try_push(req)) {
-    stats_.on_rejected_full();
-    return reject(Status::error(ErrorCode::kUnavailable,
-                                "queue full (capacity " +
-                                    std::to_string(queue_.capacity()) + ")")
-                      .with_context("DetectionServer::submit"));
-  }
-  stats_.on_accepted();
+  enqueue(req);
   return future;
+}
+
+void DetectionServer::enqueue(Request& req) {
+  const auto fail = [&req](ErrorCode code, std::string message) {
+    req.promise.set_value(util::Result<Verdict>(
+        Status::error(code, std::move(message))
+            .with_context("DetectionServer::submit")));
+  };
+  if (registry_.active() == nullptr) {
+    stats_.on_rejected_no_model();
+    fail(ErrorCode::kUnavailable, "no active model");
+    return;
+  }
+  req.enqueued = Clock::now();
+  if (req.deadline.has_value() && req.enqueued > *req.deadline) {
+    stats_.on_expired();  // e.g. featurization outlasted it: take no slot
+    fail(ErrorCode::kDeadlineExceeded, "request expired before enqueue");
+    return;
+  }
+  if (queue_.try_push(req)) {
+    stats_.on_accepted();
+    return;
+  }
+  // try_push also refuses a closed queue: that server is stopped, not full.
+  if (queue_.closed()) {
+    fail(ErrorCode::kUnavailable, "server stopped");
+    return;
+  }
+  stats_.on_rejected_full();
+  fail(ErrorCode::kUnavailable,
+       "queue full (capacity " + std::to_string(queue_.capacity()) + ")");
 }
 
 std::future<util::Result<Verdict>> DetectionServer::submit(
     const isa::Program& program, double deadline_ms) {
-  // The deadline covers featurization: its clock starts here.
-  const auto deadline = resolve_deadline(deadline_ms);
-  auto ckpt = registry_.active();
+  // The deadline covers featurization: its clock starts here, and so does
+  // Verdict::total_ms.
+  const auto admitted = Clock::now();
+  stats_.on_submitted();
+  auto deadline = resolve_deadline(deadline_ms, admitted);
+  if (!deadline.is_ok()) {
+    stats_.on_rejected_invalid();
+    return reject(deadline.status());
+  }
+  const auto ckpt = registry_.active();
   if (ckpt == nullptr) {
-    stats_.on_submitted();
     stats_.on_rejected_no_model();
     return reject(Status::error(ErrorCode::kUnavailable, "no active model")
                       .with_context("DetectionServer::submit"));
   }
-  // Featurize on the caller's thread: keeps worker batches pure inference
-  // and makes CFG-extraction cost visible to the client that pays for it.
-  // The thread-local engine reuses traversal scratch across submissions;
-  // the server-wide cache short-circuits resubmitted graphs.
-  std::vector<double> row;
+  // A pool task must be copyable, so it shares the request, which holds
+  // the promise. The program is copied here, outside the lock.
+  auto req = std::make_shared<Request>();
+  req->admitted = admitted;
+  req->deadline = deadline.value();
+  auto future = req->promise.get_future();
+  std::function<void()> task = [this, program, dim = ckpt->spec().input_dim,
+                                req] {
+    featurize(program, dim, *req);
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    --staged_;
+  };
+
+  std::lock_guard<std::mutex> lock(stage_mu_);
+  if (stopped_) {
+    return reject(Status::error(ErrorCode::kUnavailable, "server stopped")
+                      .with_context("DetectionServer::submit"));
+  }
+  // The pool's queue is unbounded, so the stage is bounded here.
+  if (staged_ >= queue_.capacity()) {
+    stats_.on_rejected_full();
+    return reject(Status::error(ErrorCode::kUnavailable,
+                                "featurization stage full (capacity " +
+                                    std::to_string(queue_.capacity()) + ")")
+                      .with_context("DetectionServer::submit"));
+  }
+  ++staged_;
+  featurizers_.submit(std::move(task));
+  return future;
+}
+
+void DetectionServer::featurize(const isa::Program& program, std::size_t dim,
+                                Request& req) {
+  const auto fail = [&req](Status status) {
+    req.promise.set_value(util::Result<Verdict>(
+        std::move(status.with_context("DetectionServer::submit(program)"))));
+  };
   try {
+    if (req.deadline.has_value() && Clock::now() > *req.deadline) {
+      stats_.on_expired();  // waited out its deadline: spend no sweep on it
+      fail(Status::error(ErrorCode::kDeadlineExceeded,
+                         "program expired before featurization"));
+      return;
+    }
     obs::TraceSpan span("serve.featurize");
     // main_only: the paper's per-binary convention.
     const cfg::Cfg graph = cfg::extract_cfg(program, {.main_only = true});
+    // The thread-local engine reuses traversal scratch across programs; the
+    // server-wide cache short-circuits resubmitted graphs.
     auto& engine = features::FeatureEngine::local();
-    if (ckpt->spec().input_dim == features::kNumExtendedFeatures) {
-      row = features::extract_extended_features(graph.graph, engine,
-                                                feature_cache_.get());
+    if (dim == features::kNumExtendedFeatures) {
+      req.features = features::extract_extended_features(
+          graph.graph, engine, feature_cache_.get());
     } else {
       const auto fv = engine.extract(graph.graph, feature_cache_.get());
-      row.assign(fv.begin(), fv.end());
+      req.features.assign(fv.begin(), fv.end());
     }
     span.close();
     featurize_ms_->observe(span.elapsed_ms());
+    enqueue(req);
   } catch (const std::invalid_argument& e) {
-    stats_.on_submitted();
     stats_.on_rejected_invalid();
-    return reject(Status::error(ErrorCode::kInvalidArgument, e.what())
-                      .with_context("DetectionServer::submit(program)"));
+    fail(Status::error(ErrorCode::kInvalidArgument, e.what()));
+  } catch (const std::exception& e) {
+    fail(Status::error(ErrorCode::kInternal,
+                       std::string("featurization failed: ") + e.what()));
+  } catch (...) {
+    fail(Status::error(ErrorCode::kInternal, "featurization failed"));
   }
-  return enqueue(std::move(row), deadline, {});
 }
 
 util::Result<Verdict> DetectionServer::detect(std::vector<double> features,
@@ -280,7 +364,7 @@ void DetectionServer::process_batch(std::vector<Request>& batch) {
                      .count();
     v.infer_ms = infer_ms;
     v.total_ms = std::chrono::duration<double, std::milli>(Clock::now() -
-                                                           req.enqueued)
+                                                           req.admitted)
                      .count();
     if (req.ctx.valid()) {
       // Attribute this request's server-side phases to its distributed

@@ -3,10 +3,18 @@
 // and returns scored verdicts.
 //
 // Request path:
-//   submit() — resolve the deadline, featurize on the caller's thread
-//   (program overload), then try_push into a bounded queue. A full queue,
-//   a missing model (kUnavailable) or a passed deadline (kDeadlineExceeded)
-//   rejects at once with a ready future; the client never hangs on admission.
+//   submit(features) — resolve the deadline, then try_push into a bounded
+//   row queue. A full queue, a stopped server, a missing model
+//   (kUnavailable), a passed deadline (kDeadlineExceeded) or a NaN deadline
+//   (kInvalidArgument) rejects at once with a ready future; the client
+//   never hangs on admission.
+//   submit(program) — admission only: resolve the deadline, check the
+//   active model, a stopped server and the stage bound, hand a copy of the
+//   program to the featurization stage and return its future. The stage is
+//   a server-owned util::ThreadPool of util::default_thread_count()
+//   threads; each task extracts the CFG and the features, then takes the
+//   row path above. At most queue_capacity programs are in the stage at
+//   once, so the pool's own queue stays bounded.
 //   worker — blocking pop for the first request, then lingers up to
 //   max_wait_us (or until max_batch) to coalesce stragglers into one
 //   Model::infer call. Deadlines are checked at dequeue: an expired request
@@ -27,6 +35,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -39,6 +48,7 @@
 #include "serve/registry.hpp"
 #include "serve/stats.hpp"
 #include "util/status.hpp"
+#include "util/threadpool.hpp"
 
 namespace gea::serve {
 
@@ -46,6 +56,7 @@ struct ServerConfig {
   /// Worker threads; 0 = util::default_thread_count().
   std::size_t workers = 0;
   /// Bounded queue capacity; pushes beyond this reject with kUnavailable.
+  /// It also bounds the programs in the featurization stage.
   std::size_t queue_capacity = 256;
   /// Micro-batch ceiling. 1 disables batching: each request runs as a
   /// batch of one through Model::infer (the bench's unbatched baseline).
@@ -73,9 +84,9 @@ struct Verdict {
   std::vector<double> logits;           // raw network outputs
   std::string model_version;            // checkpoint that produced it
   std::size_t batch_size = 0;           // how many requests shared the pass
-  double queue_ms = 0.0;                // submit -> dequeue
+  double queue_ms = 0.0;                // enqueue -> dequeue
   double infer_ms = 0.0;                // the batch's forward wall time
-  double total_ms = 0.0;                // submit -> verdict
+  double total_ms = 0.0;                // submit() call -> verdict
 };
 
 class DetectionServer {
@@ -91,24 +102,33 @@ class DetectionServer {
 
   /// Enqueue a precomputed feature vector (raw feature units; the active
   /// checkpoint's scaler, when present, is applied server-side). The future
-  /// is ready immediately on admission failure. deadline_ms: <0 = config
-  /// default, 0 = none, >0 = fail with kDeadlineExceeded if still queued
-  /// after that many milliseconds. `ctx` (when valid) attributes the
-  /// request's queue-wait and inference spans to a distributed trace — the
-  /// transport passes the context it decoded from the frame header.
+  /// is ready immediately on admission failure; after stop() that failure
+  /// is kUnavailable "server stopped". deadline_ms: <0 = config default,
+  /// 0 = none, >0 = fail with kDeadlineExceeded if still queued after that
+  /// many milliseconds. A deadline too far away for the clock to hold, +inf
+  /// included, can never fire and means none; NaN is refused with
+  /// kInvalidArgument. `ctx` (when valid) attributes the request's
+  /// queue-wait and inference spans to a distributed trace — the transport
+  /// passes the context it decoded from the frame header.
   std::future<util::Result<Verdict>> submit(std::vector<double> features,
                                             double deadline_ms = -1.0,
                                             obs::TraceContext ctx = {});
 
-  /// Extract the CFG (entry function, the paper's convention) and featurize
-  /// on the caller's thread, then enqueue. The feature width follows the
-  /// active checkpoint's spec (23 or 41). Featurization runs under a
-  /// "serve.featurize" span and lands in the "serve.featurize_ms"
-  /// histogram. deadline_ms is read as above, but its clock starts when
-  /// submit() is called, so featurization counts against it: a program
-  /// whose featurization outlasts its deadline fails with
+  /// Admit a program and return at once: the featurization stage extracts
+  /// the CFG (entry function, the paper's convention) and the features off
+  /// the caller's thread, then enqueues the row as above. The caller may
+  /// reuse `program` once this returns. Admission refuses a NaN deadline
+  /// (kInvalidArgument), a missing model or a stopped server
+  /// (kUnavailable), and a program that would make more than
+  /// queue_capacity in the stage (kUnavailable, counted as rejected_full).
+  /// The feature width follows the active checkpoint's spec (23 or 41).
+  /// Featurization runs under a "serve.featurize" span and lands in the
+  /// "serve.featurize_ms" histogram. deadline_ms is read as above, but its
+  /// clock starts when submit() is called, so featurization counts against
+  /// it: a program that expires before or during featurization fails with
   /// kDeadlineExceeded and counts as expired without taking a queue slot.
-  /// Verdict::queue_ms and total_ms still run from the enqueue.
+  /// Verdict::total_ms runs from the submit() call, queue_ms from the
+  /// enqueue. pause() holds only the row queue; featurization continues.
   std::future<util::Result<Verdict>> submit(const isa::Program& program,
                                             double deadline_ms = -1.0);
 
@@ -120,10 +140,13 @@ class DetectionServer {
 
   /// Fence the workers: queued requests stay queued (admission continues)
   /// until resume(). Tests use this to build deterministic queue states.
+  /// The featurization stage keeps running.
   void pause();
   void resume();
 
-  /// Drain the queue and join the workers. Idempotent; called by ~.
+  /// Admit nothing more, let every admitted program reach the row queue (or
+  /// fail), then drain the queue and join the workers. Idempotent; called
+  /// by ~.
   void stop();
 
   const ServerConfig& config() const { return config_; }
@@ -141,17 +164,22 @@ class DetectionServer {
   struct Request {
     std::vector<double> features;
     std::promise<util::Result<Verdict>> promise;
-    Clock::time_point enqueued;
+    Clock::time_point admitted;  // submit() call: Verdict::total_ms
+    Clock::time_point enqueued;  // Verdict::queue_ms
     std::optional<Clock::time_point> deadline;
     obs::TraceContext ctx;  // invalid = untraced
   };
 
   std::future<util::Result<Verdict>> reject(util::Status status);
-  std::optional<Clock::time_point> resolve_deadline(double deadline_ms) const;
-  /// Admission shared by both submit() overloads; `deadline` is absolute.
-  std::future<util::Result<Verdict>> enqueue(
-      std::vector<double> features, std::optional<Clock::time_point> deadline,
-      obs::TraceContext ctx);
+  /// `deadline_ms` read as submit() documents, made absolute from `now`.
+  util::Result<std::optional<Clock::time_point>> resolve_deadline(
+      double deadline_ms, Clock::time_point now) const;
+  /// Row-queue admission shared by both submit() overloads: moves `req`
+  /// into the queue, or fails its promise and leaves it in place.
+  void enqueue(Request& req);
+  /// One program's pass through the featurization stage, on a pool thread.
+  /// Never throws: every failure becomes `req`'s Status.
+  void featurize(const isa::Program& program, std::size_t dim, Request& req);
   void worker_loop();
   void process_batch(std::vector<Request>& batch);
 
@@ -161,8 +189,13 @@ class DetectionServer {
   std::shared_ptr<features::FeatureCache> feature_cache_;
   obs::Histogram* featurize_ms_;  // "serve.featurize_ms", resolved once
   ServerStats stats_;
-  std::vector<std::thread> workers_;
+  // Program admission and stop() meet under stage_mu_, so no task reaches
+  // the pool once stop() has begun.
+  std::mutex stage_mu_;
+  std::size_t staged_ = 0;  // programs admitted, not yet enqueued or failed
   bool stopped_ = false;
+  util::ThreadPool featurizers_;  // after every member its tasks use
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace gea::serve

@@ -2,9 +2,11 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -469,6 +471,14 @@ obs::Counter& client_counter(const char* name) {
   return obs::MetricsRegistry::global().counter(name);
 }
 
+/// A budget as a poll timeout: at least 1 ms, and saturated at INT_MAX, so
+/// an infinite budget waits in long slices instead of leaving int's range.
+int poll_timeout_ms(double budget_ms) {
+  return static_cast<int>(
+      std::clamp(std::ceil(budget_ms), 1.0,
+                 static_cast<double>(std::numeric_limits<int>::max())));
+}
+
 }  // namespace
 
 RemoteClient::RemoteClient(const ClientConfig& config)
@@ -483,9 +493,8 @@ void RemoteClient::disconnect() {
 
 util::Status RemoteClient::ensure_connected(double budget_ms) {
   if (sock_.valid()) return Status::ok();
-  const int timeout =
-      static_cast<int>(std::ceil(std::max(budget_ms, 1.0)));
-  auto sock = net::connect_to(config_.host, config_.port, timeout);
+  auto sock =
+      net::connect_to(config_.host, config_.port, poll_timeout_ms(budget_ms));
   if (!sock.is_ok()) {
     return Status(sock.status()).with_context("RemoteClient::connect");
   }
@@ -523,9 +532,14 @@ RemoteClient::Attempt RemoteClient::attempt_once(
   f.request_id = request_id;
   // The remaining deadline budget rides the header, so the server's queue
   // deadline is exactly what the client has left — not what it started with.
-  f.deadline_budget_us = has_deadline
-                             ? static_cast<std::uint64_t>(budget_ms * 1000.0)
-                             : 0;
+  // A budget past the field's range (an infinite one included) saturates;
+  // the server reads that as no deadline.
+  if (has_deadline) {
+    const double budget_us = budget_ms * 1000.0;
+    f.deadline_budget_us = budget_us < 0x1p64
+                               ? static_cast<std::uint64_t>(budget_us)
+                               : std::numeric_limits<std::uint64_t>::max();
+  }
   f.trace = ctx.valid() ? send_span.context() : obs::TraceContext{};
   f.payload = config_.payload_version >= 2
                   ? encode_detect_request_payload(features,
@@ -550,8 +564,7 @@ RemoteClient::Attempt RemoteClient::attempt_once(
     }
     off += io.bytes;
     if (io.would_block) {
-      auto ev = sock_.poll_one(
-          POLLOUT, static_cast<int>(std::ceil(std::max(remaining(), 1.0))));
+      auto ev = sock_.poll_one(POLLOUT, poll_timeout_ms(remaining()));
       if (!ev.is_ok()) return transport_fail(Status(ev.status()));
     }
   }
@@ -591,8 +604,7 @@ RemoteClient::Attempt RemoteClient::attempt_once(
       return transport_fail(Status::error(ErrorCode::kDeadlineExceeded,
                                           "response timed out"));
     }
-    auto ev = sock_.poll_one(
-        POLLIN, static_cast<int>(std::ceil(std::max(remaining(), 1.0))));
+    auto ev = sock_.poll_one(POLLIN, poll_timeout_ms(remaining()));
     if (!ev.is_ok()) return transport_fail(Status(ev.status()));
     if (ev.value() == 0) continue;  // timeout slice; remaining() re-checks
     std::uint8_t chunk[16 * 1024];

@@ -3,6 +3,7 @@
 // across worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -22,6 +23,7 @@
 #include "ml/model.hpp"
 #include "ml/zoo.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/queue.hpp"
 #include "serve/registry.hpp"
@@ -489,7 +491,7 @@ TEST(Server, ExpiredProgramTakesNoQueueSlot) {
 
   auto late = server.submit(skip_chain(200), /*deadline_ms=*/0.001);
   auto live = server.submit(std::vector<double>(kDim, 1.0));
-  ASSERT_EQ(late.wait_for(std::chrono::seconds(0)),
+  ASSERT_EQ(late.wait_for(std::chrono::seconds(10)),
             std::future_status::ready);
   const auto expired = late.get();
   ASSERT_FALSE(expired.is_ok());
@@ -503,6 +505,177 @@ TEST(Server, ExpiredProgramTakesNoQueueSlot) {
   EXPECT_EQ(snap.expired, 1u);
   EXPECT_EQ(snap.rejected_full, 0u);
   EXPECT_EQ(snap.completed, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+// submit(program) returns at admission: the "serve.featurize" span of the
+// program it served was recorded on another thread than the caller's.
+TEST(Server, ProgramFeaturizesOffTheSubmittingThread) {
+#if defined(GEA_OBS_NOOP)
+  GTEST_SKIP() << "GEA_OBS_NOOP build: instrumentation compiled out";
+#endif
+  const auto dir = write_checkpoint("off_caller", 97);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  serve::DetectionServer server(reg, cfg);
+
+  Rng rng(12);
+  const auto program = bingen::generate_program(bingen::Family::kMiraiLike, rng);
+  ASSERT_TRUE(server.detect(program).is_ok());
+  const auto events = obs::TraceRecorder::global().events();
+  const auto it = std::find_if(
+      events.rbegin(), events.rend(),
+      [](const obs::TraceEvent& e) { return e.name == "serve.featurize"; });
+  ASSERT_NE(it, events.rend());
+  EXPECT_NE(it->tid, obs::detail::thread_index());
+  std::filesystem::remove_all(dir);
+}
+
+// Verdict::total_ms runs from the submit() call, so a program's total covers
+// its featurization and not only its queue wait and inference.
+TEST(Server, ProgramTotalCoversFeaturization) {
+  const auto dir = write_checkpoint("program_total", 101);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.feature_cache_capacity = 0;
+  serve::DetectionServer server(reg, cfg);
+
+  const auto program = skip_chain(1500);
+  // The fastest of three featurizations on this thread.
+  double featurize_ms = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    util::Stopwatch sw;
+    const cfg::Cfg graph = cfg::extract_cfg(program, {.main_only = true});
+    (void)features::FeatureEngine::local().extract(graph.graph, nullptr);
+    const double ms = sw.elapsed_ms();
+    featurize_ms = rep == 0 ? ms : std::min(featurize_ms, ms);
+  }
+  ASSERT_GE(featurize_ms, 4.0) << "featurization took " << featurize_ms
+                               << " ms";
+
+  auto served = server.detect(program);
+  ASSERT_TRUE(served.is_ok()) << served.status().to_string();
+  EXPECT_GE(served.value().total_ms, featurize_ms / 2.0)
+      << "queue " << served.value().queue_ms << " ms, infer "
+      << served.value().infer_ms << " ms";
+  std::filesystem::remove_all(dir);
+}
+
+// The stage holds at most queue_capacity programs: behind two programs that
+// each take milliseconds to featurize, a third is refused at once as full,
+// and the two are served.
+TEST(Server, FeaturizationStageIsBounded) {
+  const auto dir = write_checkpoint("stage_bound", 103);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 2;
+  cfg.feature_cache_capacity = 0;
+  serve::DetectionServer server(reg, cfg);
+
+  const auto program = skip_chain(1500);
+  std::vector<std::future<util::Result<serve::Verdict>>> futures;
+  for (int i = 0; i < 3; ++i) futures.push_back(server.submit(program));
+  const auto refused = futures[2].get();
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.status().code(), ErrorCode::kUnavailable);
+  for (int i = 0; i < 2; ++i) {
+    const auto r = futures[i].get();
+    EXPECT_TRUE(r.is_ok()) << "program " << i << ": " << r.status().to_string();
+  }
+  const auto snap = server.stats();
+  EXPECT_EQ(snap.rejected_full, 1u);
+  EXPECT_EQ(snap.completed, 2u);
+  std::filesystem::remove_all(dir);
+}
+
+// stop() admits nothing more, but every program admitted before it reaches
+// the row queue before the queue closes: each one is served.
+TEST(Server, StopServesEveryAdmittedProgram) {
+  const auto dir = write_checkpoint("stop_drain", 107);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  serve::DetectionServer server(reg, cfg);
+
+  Rng rng(14);
+  std::vector<std::future<util::Result<serve::Verdict>>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back(server.submit(bingen::generate_program(
+        i % 2 == 0 ? bingen::Family::kMiraiLike : bingen::Family::kGafgytLike,
+        rng)));
+  }
+  server.stop();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "program " << i;
+    const auto r = futures[i].get();
+    EXPECT_TRUE(r.is_ok()) << "program " << i << ": " << r.status().to_string();
+  }
+  EXPECT_EQ(server.stats().completed, 32u);
+  std::filesystem::remove_all(dir);
+}
+
+// After stop(), both overloads refuse as a stopped server, not a full queue.
+TEST(Server, SubmitAfterStopIsRefusedAsStopped) {
+  const auto dir = write_checkpoint("stopped", 109);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  serve::DetectionServer server(reg, cfg);
+  server.stop();
+
+  Rng rng(15);
+  const auto row = server.detect(std::vector<double>(kDim, 1.0));
+  const auto program = server.detect(
+      bingen::generate_program(bingen::Family::kMiraiLike, rng));
+  for (const auto* r : {&row, &program}) {
+    ASSERT_FALSE(r->is_ok());
+    EXPECT_EQ(r->status().code(), ErrorCode::kUnavailable);
+    EXPECT_EQ(r->status().message(), "server stopped");
+  }
+  EXPECT_EQ(server.stats().rejected_full, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// A deadline too far away for the clock to hold, +inf included, can never
+// fire, so it means none; a NaN deadline is refused as invalid.
+TEST(Server, FarOrNonFiniteDeadlines) {
+  const auto dir = write_checkpoint("far_deadline", 113);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  serve::DetectionServer server(reg, cfg);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> raw(kDim, 1.0);
+  for (const double deadline_ms : {1e13, inf}) {
+    const auto r = server.detect(raw, deadline_ms);
+    EXPECT_TRUE(r.is_ok()) << "deadline " << deadline_ms << " ms: "
+                           << r.status().to_string();
+  }
+  Rng rng(16);
+  const auto program = server.detect(
+      bingen::generate_program(bingen::Family::kMiraiLike, rng), inf);
+  EXPECT_TRUE(program.is_ok()) << program.status().to_string();
+
+  const auto nan =
+      server.detect(raw, std::numeric_limits<double>::quiet_NaN());
+  ASSERT_FALSE(nan.is_ok());
+  EXPECT_EQ(nan.status().code(), ErrorCode::kInvalidArgument);
+  const auto snap = server.stats();
+  EXPECT_EQ(snap.rejected_invalid, 1u);
+  EXPECT_EQ(snap.expired, 0u);
+  EXPECT_EQ(snap.completed, 3u);
   std::filesystem::remove_all(dir);
 }
 
@@ -591,6 +764,43 @@ TEST(Server, ProgramSubmitFeaturizesAndServes) {
   auto r = server.detect(program);
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_LT(r.value().predicted, 2u);
+
+  // Four threads submit every program of a set, so the stage featurizes
+  // them concurrently and the feature cache sees misses and hits race. Each
+  // verdict's logits equal those of the program's precomputed row, bitwise.
+  std::vector<isa::Program> programs;
+  std::vector<std::vector<double>> expected;
+  for (int i = 0; i < 8; ++i) {
+    programs.push_back(bingen::generate_program(
+        i % 2 == 0 ? bingen::Family::kMiraiLike : bingen::Family::kGafgytLike,
+        rng));
+    const cfg::Cfg graph = cfg::extract_cfg(programs.back(), {.main_only = true});
+    const auto fv = features::FeatureEngine::local().extract(graph.graph, nullptr);
+    expected.push_back(
+        reference_logits(dir, std::vector<double>(fv.begin(), fv.end())));
+  }
+  std::atomic<int> failed{0};
+  std::atomic<int> mismatched{0};
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < 4; ++t) {
+    submitters.emplace_back([&, t] {
+      std::vector<std::future<util::Result<serve::Verdict>>> futures;
+      for (std::size_t i = 0; i < programs.size(); ++i) {
+        futures.push_back(server.submit(programs[(i + 2 * t) % programs.size()]));
+      }
+      for (std::size_t i = 0; i < futures.size(); ++i) {
+        const auto v = futures[i].get();
+        if (!v.is_ok()) {
+          failed.fetch_add(1);
+        } else if (v.value().logits != expected[(i + 2 * t) % programs.size()]) {
+          mismatched.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(mismatched.load(), 0);
   std::filesystem::remove_all(dir);
 }
 

@@ -291,6 +291,32 @@ TEST(Transport, DeadlineBudgetPropagatesToServerQueue) {
   EXPECT_EQ(rig.server->stats().completed, 0u);
 }
 
+// The largest budget the wire carries, UINT64_MAX us, ends past the server
+// clock's range: it can never fire, so the request is served as if it had
+// no deadline. A client's infinite deadline saturates to that budget.
+TEST(Transport, BudgetBeyondTheClockMeansNoDeadline) {
+  Rig rig;
+  net::Socket sock = raw_connect(rig.transport->port());
+  Rng rng(113);
+  const auto row = synthetic_row(rng);
+  send_all(sock, make_request_bytes(
+                     41, row, std::numeric_limits<std::uint64_t>::max()));
+  std::vector<std::uint8_t> buf;
+  auto frame = read_frame(sock, buf);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->request_id, 41u);
+  auto verdict = serve::decode_detect_response_payload(
+      {frame->payload.data(), frame->payload.size()});
+  ASSERT_TRUE(verdict.is_ok()) << verdict.status().to_string();
+  EXPECT_EQ(verdict.value().logits, reference_logits(row));
+
+  serve::RemoteClient client(rig.client_config());
+  auto remote = client.detect(row, std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(remote.is_ok()) << remote.status().to_string();
+  EXPECT_EQ(remote.value().logits, verdict.value().logits);
+  EXPECT_EQ(rig.server->stats().expired, 0u);
+}
+
 TEST(Transport, RetryBackoffHonorsDeadlineBudget) {
   // No server at all: every attempt fails at connect; the retry loop must
   // give up when the budget cannot fund another backoff, not after a fixed
