@@ -24,10 +24,11 @@ int main() {
 
   ml::RandomForest forest;
   forest.fit(train.rows, train.labels);
-  const auto cm = ml::confusion(forest.predict_all(test.rows), test.labels);
+  const auto cm =
+      ml::confusion_k(2, forest.predict_all(test.rows), test.labels);
   std::printf("forest: %zu trees, test accuracy %s%%  FNR %s%%  FPR %s%%\n\n",
               forest.num_trees(), bench::pct(cm.accuracy()).c_str(),
-              bench::pct(cm.fnr()).c_str(), bench::pct(cm.fpr()).c_str());
+              bench::pct(cm.fnr(1)).c_str(), bench::pct(cm.fpr(1)).c_str());
 
   // (a) transfer: craft on the CNN, replay on the forest.
   util::AsciiTable t({"Attack on CNN", "CNN MR (%)", "forest transfer MR (%)",

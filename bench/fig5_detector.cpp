@@ -25,10 +25,10 @@ int main() {
 
   util::AsciiTable t({"Split", "Accuracy", "FNR(mal)", "FPR(mal)",
                       "minority-class error", "Confusion"});
-  auto add = [&](const char* name, const ml::ConfusionMatrix& m) {
-    t.add_row({name, bench::pct(m.accuracy()) + "%", bench::pct(m.fnr()) + "%",
-               bench::pct(m.fpr()) + "%", bench::pct(m.fpr()) + "%",
-               m.to_string()});
+  auto add = [&](const char* name, const ml::MultiConfusion& m) {
+    t.add_row({name, bench::pct(m.accuracy()) + "%",
+               bench::pct(m.fnr(1)) + "%", bench::pct(m.fpr(1)) + "%",
+               bench::pct(m.fpr(1)) + "%", m.to_string()});
   };
   add("train", train);
   add("test", test);
@@ -38,7 +38,7 @@ int main() {
       "Note: FNR/FPR above use positive=malicious. The paper's 11.26%% FNR /\n"
       "1.55%% FPR pattern (high error on the class the imbalance starves) maps\n"
       "to our minority-class (benign) error of %s%% vs majority error of %s%%.\n",
-      bench::pct(test.fpr()).c_str(), bench::pct(test.fnr()).c_str());
+      bench::pct(test.fpr(1)).c_str(), bench::pct(test.fnr(1)).c_str());
 
   std::printf("\nTraining: %zu epochs run, final loss %.4f\n",
               p.train_stats().epoch_losses.size(), p.train_stats().final_loss);

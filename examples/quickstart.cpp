@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
               pipeline.corpus().count_label(dataset::kBenign),
               pipeline.corpus().count_label(dataset::kMalicious));
   std::printf("test accuracy %.2f%%  FNR %.2f%%  FPR %.2f%%  (%s)\n",
-              tm.accuracy() * 100, tm.fnr() * 100, tm.fpr() * 100,
+              tm.accuracy() * 100, tm.fnr(1) * 100, tm.fpr(1) * 100,
               tm.to_string().c_str());
   std::printf("%s\n\n", pipeline.report().summary().c_str());
 

@@ -104,8 +104,8 @@ class DetectionPipeline {
   ml::Model& model() { return model_; }
   ml::ModelClassifier& classifier() { return *classifier_; }
 
-  const ml::ConfusionMatrix& train_metrics() const { return train_metrics_; }
-  const ml::ConfusionMatrix& test_metrics() const { return test_metrics_; }
+  const ml::MultiConfusion& train_metrics() const { return train_metrics_; }
+  const ml::MultiConfusion& test_metrics() const { return test_metrics_; }
   const ml::TrainStats& train_stats() const { return train_stats_; }
 
   /// Scaled rows + labels for a split's indices.
@@ -127,8 +127,8 @@ class DetectionPipeline {
   std::unique_ptr<util::Rng> dropout_rng_;
   ml::Model model_;
   std::unique_ptr<ml::ModelClassifier> classifier_;
-  ml::ConfusionMatrix train_metrics_;
-  ml::ConfusionMatrix test_metrics_;
+  ml::MultiConfusion train_metrics_;
+  ml::MultiConfusion test_metrics_;
   ml::TrainStats train_stats_;
   PipelineReport report_;
 };

@@ -6,7 +6,6 @@
 
 #include "net/frame.hpp"  // checksum32
 #include "net/wire.hpp"
-#include "obs/metrics.hpp"
 #include "util/faultinject.hpp"
 
 namespace gea::features {
@@ -16,12 +15,7 @@ using util::ErrorCode;
 using util::Status;
 
 DiskFeatureCache::DiskFeatureCache(std::string path)
-    : path_(std::move(path)), state_(std::make_unique<State>()) {
-  auto& registry = obs::MetricsRegistry::global();
-  obs_hits_ = &registry.counter("features.disk.hits");
-  obs_misses_ = &registry.counter("features.disk.misses");
-  obs_flushed_ = &registry.counter("features.disk.flushed_entries");
-}
+    : path_(std::move(path)), state_(std::make_unique<State>()) {}
 
 util::Result<DiskFeatureCache> DiskFeatureCache::open(
     std::string path, DiskCacheLoadReport* report, bool strict) {
@@ -132,13 +126,11 @@ bool DiskFeatureCache::lookup(const graph::GraphDigest& key,
   std::lock_guard<std::mutex> lock(state_->mu);
   auto it = state_->map.find(key);
   if (it == state_->map.end()) {
-    ++state_->misses;
-    obs_misses_->inc();
+    state_->misses.inc();
     return false;
   }
   out = it->second;
-  ++state_->hits;
-  obs_hits_->inc();
+  state_->hits.inc();
   return true;
 }
 
@@ -157,16 +149,6 @@ std::size_t DiskFeatureCache::size() const {
 bool DiskFeatureCache::dirty() const {
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->dirty;
-}
-
-std::uint64_t DiskFeatureCache::hits() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->hits;
-}
-
-std::uint64_t DiskFeatureCache::misses() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->misses;
 }
 
 util::Status DiskFeatureCache::flush() {
@@ -229,7 +211,7 @@ util::Status DiskFeatureCache::flush() {
                          "rename " + tmp + ": " + ec.message())
         .with_context("DiskFeatureCache::flush");
   }
-  obs_flushed_->inc(state_->map.size());
+  state_->flushed_entries.inc(state_->map.size());
   state_->dirty = false;
   return Status::ok();
 }

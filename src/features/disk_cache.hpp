@@ -38,11 +38,8 @@
 
 #include "features/features.hpp"
 #include "graph/sweep.hpp"
+#include "obs/metrics.hpp"
 #include "util/status.hpp"
-
-namespace gea::obs {
-class Counter;
-}  // namespace gea::obs
 
 namespace gea::features {
 
@@ -59,8 +56,8 @@ struct DiskCacheLoadReport {
   std::size_t max_diagnostics = 8;
 };
 
-/// Thread-safe persistent digest -> FeatureVector segment. All operations
-/// take one internal mutex; flush() is the only disk write.
+/// Thread-safe persistent digest -> FeatureVector segment. The map takes
+/// one internal mutex; flush() is the only disk write.
 class DiskFeatureCache {
  public:
   /// Load the segment at `path` (missing file = empty cache, not an
@@ -83,8 +80,8 @@ class DiskFeatureCache {
 
   std::size_t size() const;
   bool dirty() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
+  std::uint64_t hits() const { return state_->hits.value(); }
+  std::uint64_t misses() const { return state_->misses.value(); }
   const std::string& path() const { return path_; }
 
   /// Atomically persist the segment if dirty (no-op otherwise). On error
@@ -106,16 +103,14 @@ class DiskFeatureCache {
     mutable std::mutex mu;
     std::unordered_map<graph::GraphDigest, FeatureVector, KeyHash> map;
     bool dirty = false;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
+    obs::Tally hits{"features.disk.hits"};
+    obs::Tally misses{"features.disk.misses"};
+    obs::Counter& flushed_entries =
+        obs::MetricsRegistry::global().counter("features.disk.flushed_entries");
   };
 
   std::string path_;
   std::unique_ptr<State> state_;
-  // Registry handles ("features.disk.*"), resolved once at open.
-  obs::Counter* obs_hits_ = nullptr;
-  obs::Counter* obs_misses_ = nullptr;
-  obs::Counter* obs_flushed_ = nullptr;
 };
 
 }  // namespace gea::features

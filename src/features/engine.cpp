@@ -4,21 +4,15 @@
 #include <limits>
 
 #include "features/disk_cache.hpp"
-
-#include "obs/metrics.hpp"
 #include "util/faultinject.hpp"
 #include "util/stats.hpp"
 
 namespace gea::features {
 
 FeatureCache::FeatureCache(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  auto& registry = obs::MetricsRegistry::global();
-  obs_hits_ = &registry.counter("features.cache.hits");
-  obs_misses_ = &registry.counter("features.cache.misses");
-  obs_evictions_ = &registry.counter("features.cache.evictions");
-  obs_size_ = &registry.gauge("features.cache.size");
-}
+    : capacity_(capacity == 0 ? 1 : capacity),
+      size_gauge_(
+          obs::MetricsRegistry::global().gauge("features.cache.size")) {}
 
 bool FeatureCache::lookup(const graph::GraphDigest& key, FeatureVector& out) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -26,8 +20,7 @@ bool FeatureCache::lookup(const graph::GraphDigest& key, FeatureVector& out) {
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);  // touch: move to front
     out = it->second->second;
-    ++hits_;
-    obs_hits_->inc();
+    hits_.inc();
     return true;
   }
   // Memory miss: consult the persistent tier and promote its answer. A
@@ -35,12 +28,10 @@ bool FeatureCache::lookup(const graph::GraphDigest& key, FeatureVector& out) {
   // traversal — and is not written back through (the tier holds it).
   if (tier_ != nullptr && tier_->lookup(key, out)) {
     insert_locked(key, out);
-    ++hits_;
-    obs_hits_->inc();
+    hits_.inc();
     return true;
   }
-  ++misses_;
-  obs_misses_->inc();
+  misses_.inc();
   return false;
 }
 
@@ -62,12 +53,11 @@ void FeatureCache::insert_locked(const graph::GraphDigest& key,
   if (lru_.size() >= capacity_) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
-    ++evictions_;
-    obs_evictions_->inc();
+    evictions_.inc();
   }
   lru_.emplace_front(key, fv);
   index_.emplace(key, lru_.begin());
-  obs_size_->set(static_cast<double>(lru_.size()));
+  size_gauge_.set(static_cast<double>(lru_.size()));
 }
 
 void FeatureCache::set_persistent_tier(std::shared_ptr<DiskFeatureCache> tier) {
@@ -78,21 +68,6 @@ void FeatureCache::set_persistent_tier(std::shared_ptr<DiskFeatureCache> tier) {
 std::size_t FeatureCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
-}
-
-std::uint64_t FeatureCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t FeatureCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-std::uint64_t FeatureCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
 }
 
 FeatureVector FeatureEngine::extract(const graph::DiGraph& g,

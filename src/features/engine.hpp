@@ -4,7 +4,7 @@
 // buffers, so extracting the 23 features costs a single all-sources sweep
 // and — once warmed up to the largest graph seen — zero heap allocations.
 // Output is bitwise identical to the seed-era multi-pass path (see
-// features/reference.hpp and the property suite in
+// tests/support/features/reference.hpp and the property suite in
 // tests/feature_engine_test.cpp).
 //
 // Threading: an engine is single-threaded by design (it IS the scratch).
@@ -32,20 +32,17 @@
 #include "features/features.hpp"
 #include "graph/digraph.hpp"
 #include "graph/sweep.hpp"
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
-
-namespace gea::obs {
-class Counter;
-class Gauge;
-}  // namespace gea::obs
 
 namespace gea::features {
 
 class DiskFeatureCache;
 
 /// Thread-safe bounded LRU over graph digests. Capacity is clamped to at
-/// least one entry. All operations take one internal mutex — cheap next to
-/// the traversal a hit avoids; do not hold it across featurization.
+/// least one entry. Lookups and inserts take one internal mutex — cheap
+/// next to the traversal a hit avoids; do not hold it across
+/// featurization. The hit/miss/eviction counts are obs::Tally reads.
 ///
 /// An optional *persistent tier* (features/disk_cache.hpp) sits beneath the
 /// LRU: a memory miss consults the tier and promotes its answer (counted as
@@ -71,9 +68,9 @@ class FeatureCache {
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
+  std::uint64_t hits() const { return hits_.value(); }
+  std::uint64_t misses() const { return misses_.value(); }
+  std::uint64_t evictions() const { return evictions_.value(); }
 
  private:
   struct KeyHash {
@@ -92,14 +89,10 @@ class FeatureCache {
   std::unordered_map<graph::GraphDigest, std::list<Entry>::iterator, KeyHash>
       index_;
   std::shared_ptr<DiskFeatureCache> tier_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  // Registry handles resolved once at construction (lookup takes a lock).
-  obs::Counter* obs_hits_;
-  obs::Counter* obs_misses_;
-  obs::Counter* obs_evictions_;
-  obs::Gauge* obs_size_;
+  obs::Tally hits_{"features.cache.hits"};
+  obs::Tally misses_{"features.cache.misses"};
+  obs::Tally evictions_{"features.cache.evictions"};
+  obs::Gauge& size_gauge_;  // "features.cache.size"
 };
 
 /// Single-sweep 23-feature extractor with reusable scratch and an optional

@@ -34,7 +34,7 @@
 // the seed-era multi-pass implementations (betweenness_centrality,
 // closeness_centrality, all_shortest_path_lengths). The property suite in
 // tests/feature_engine_test.cpp holds this against the retained reference
-// path in features/reference.hpp.
+// path in tests/support/features/reference.hpp.
 #pragma once
 
 #include <cstdint>

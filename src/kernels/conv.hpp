@@ -17,9 +17,10 @@
 // the GEMM's in-place A operand, only the activations are packed, and the
 // product is staged in KernelScratch and transposed into place.
 //
-// Numeric contract (see kernels/reference.hpp for the preserved seed
-// loops): every output element is one k-ordered accumulation chain, so
-// results are independent of batch size, mapping and register tile —
+// Numeric contract (see tests/support/kernels/reference.hpp for the
+// preserved seed loops): every output element is one k-ordered
+// accumulation chain, so results are independent of batch size, mapping
+// and register tile —
 // per-sample forward, batched infer, and every compiled tile all agree
 // bitwise with each other, as do one batch-N backward and N
 // single-sample backward calls that accumulate gw and gb in sample

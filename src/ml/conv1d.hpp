@@ -8,7 +8,8 @@
 // infer and both backward GEMMs share one tiled, vectorized path whose
 // per-element accumulation is k-ordered — so per-sample and batched infer
 // stay bitwise identical by construction, and the whole layer is
-// ULP-bounded against the preserved seed loops (kernels/reference.hpp).
+// ULP-bounded against the preserved seed loops
+// (tests/support/kernels/reference.hpp).
 #pragma once
 
 #include "kernels/conv.hpp"

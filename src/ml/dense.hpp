@@ -4,7 +4,8 @@
 // (x * W^T + b), backward to two accumulating GEMMs (one for
 // backward_input, which skips the weight gradient). The per-element
 // k-ordered chain keeps per-sample and batched results bitwise identical
-// and matches the seed loop order exactly (kernels/reference.hpp).
+// and matches the seed loop order exactly
+// (tests/support/kernels/reference.hpp).
 #pragma once
 
 #include "ml/layer.hpp"

@@ -5,59 +5,6 @@
 
 namespace gea::ml {
 
-double ConfusionMatrix::accuracy() const {
-  const auto t = total();
-  return t == 0 ? 0.0 : static_cast<double>(tp + tn) / static_cast<double>(t);
-}
-
-double ConfusionMatrix::fnr() const {
-  const auto pos = fn + tp;
-  return pos == 0 ? 0.0 : static_cast<double>(fn) / static_cast<double>(pos);
-}
-
-double ConfusionMatrix::fpr() const {
-  const auto neg = fp + tn;
-  return neg == 0 ? 0.0 : static_cast<double>(fp) / static_cast<double>(neg);
-}
-
-double ConfusionMatrix::precision() const {
-  const auto den = tp + fp;
-  return den == 0 ? 0.0 : static_cast<double>(tp) / static_cast<double>(den);
-}
-
-double ConfusionMatrix::recall() const {
-  const auto den = tp + fn;
-  return den == 0 ? 0.0 : static_cast<double>(tp) / static_cast<double>(den);
-}
-
-double ConfusionMatrix::f1() const {
-  const double p = precision(), r = recall();
-  return p + r == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
-}
-
-std::string ConfusionMatrix::to_string() const {
-  std::ostringstream ss;
-  ss << "TP=" << tp << " TN=" << tn << " FP=" << fp << " FN=" << fn;
-  return ss.str();
-}
-
-ConfusionMatrix confusion(const std::vector<std::uint8_t>& predicted,
-                          const std::vector<std::uint8_t>& actual) {
-  if (predicted.size() != actual.size()) {
-    throw std::invalid_argument("confusion: size mismatch");
-  }
-  ConfusionMatrix m;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    const bool pred_mal = predicted[i] == 1;
-    const bool is_mal = actual[i] == 1;
-    if (pred_mal && is_mal) ++m.tp;
-    else if (!pred_mal && !is_mal) ++m.tn;
-    else if (pred_mal && !is_mal) ++m.fp;
-    else ++m.fn;
-  }
-  return m;
-}
-
 std::size_t MultiConfusion::total() const {
   std::size_t n = 0;
   for (std::size_t c : counts) n += c;
@@ -107,27 +54,25 @@ double MultiConfusion::f1(std::size_t cls) const {
   return p + r == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
 }
 
+double MultiConfusion::fnr(std::size_t cls) const {
+  const auto den = row_sum(cls);
+  return den == 0 ? 0.0
+                  : static_cast<double>(den - at(cls, cls)) /
+                        static_cast<double>(den);
+}
+
+double MultiConfusion::fpr(std::size_t cls) const {
+  const auto den = total() - row_sum(cls);
+  return den == 0 ? 0.0
+                  : static_cast<double>(col_sum(cls) - at(cls, cls)) /
+                        static_cast<double>(den);
+}
+
 double MultiConfusion::macro_f1() const {
   if (k == 0) return 0.0;
   double sum = 0.0;
   for (std::size_t c = 0; c < k; ++c) sum += f1(c);
   return sum / static_cast<double>(k);
-}
-
-ConfusionMatrix MultiConfusion::binary(std::size_t positive_class) const {
-  ConfusionMatrix m;
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const bool pred_pos = p == positive_class;
-      const bool is_pos = a == positive_class;
-      const std::size_t n = at(a, p);
-      if (pred_pos && is_pos) m.tp += n;
-      else if (!pred_pos && !is_pos) m.tn += n;
-      else if (pred_pos && !is_pos) m.fp += n;
-      else m.fn += n;
-    }
-  }
-  return m;
 }
 
 std::string MultiConfusion::to_string() const {

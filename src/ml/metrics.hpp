@@ -1,14 +1,11 @@
 // Classification metrics matching the paper's reporting.
 //
-// Two layers:
-//  - ConfusionMatrix: the paper's binary metrics (accuracy rate,
-//    false-negative rate, false-positive rate) with the paper's label
-//    convention: 1 = malicious (positive), 0 = benign.
-//  - MultiConfusion: the K×K generalization for family classification.
-//    Per-class precision/recall/F1 and macro-F1 use the same double
-//    divisions as the binary struct, so the K=2 view (via binary(), with
-//    class 1 = positive) is bitwise-equal to ConfusionMatrix — the
-//    K=2 compatibility shim the refactor's acceptance criteria pin.
+// MultiConfusion is the one confusion-matrix type: K×K, rows are truth,
+// columns are predictions. The paper's binary metrics (accuracy rate,
+// false-negative rate, false-positive rate) are its K=2 view under the
+// paper's label convention, 1 = malicious (positive), 0 = benign: fnr(1)
+// and fpr(1) divide the same integers the seed-era binary struct did, so
+// every K=2 rate keeps its bits.
 #pragma once
 
 #include <cstdint>
@@ -18,28 +15,6 @@
 #include "ml/label_schema.hpp"
 
 namespace gea::ml {
-
-struct ConfusionMatrix {
-  std::size_t tp = 0;  // malicious predicted malicious
-  std::size_t tn = 0;  // benign predicted benign
-  std::size_t fp = 0;  // benign predicted malicious
-  std::size_t fn = 0;  // malicious predicted benign
-
-  std::size_t total() const { return tp + tn + fp + fn; }
-  double accuracy() const;
-  /// FNR = FN / (FN + TP): malware that slipped through.
-  double fnr() const;
-  /// FPR = FP / (FP + TN): benign flagged as malware.
-  double fpr() const;
-  double precision() const;
-  double recall() const;
-  double f1() const;
-
-  std::string to_string() const;
-};
-
-ConfusionMatrix confusion(const std::vector<std::uint8_t>& predicted,
-                          const std::vector<std::uint8_t>& actual);
 
 /// K×K confusion matrix. counts[actual * k + predicted]; rows are truth,
 /// columns are predictions, so row sums are per-class support and column
@@ -65,19 +40,18 @@ struct MultiConfusion {
 
   double accuracy() const;
   /// Precision/recall/F1 for one class (one-vs-rest), 0.0 on empty
-  /// denominators — identical arithmetic to the binary struct.
+  /// denominators; each is one double division of integer counts.
   double precision(std::size_t cls) const;
   double recall(std::size_t cls) const;
   double f1(std::size_t cls) const;
+  /// One-vs-rest false-negative rate: misses of `cls` over its row sum
+  /// (fnr(1) at K=2: malware that slipped through).
+  double fnr(std::size_t cls) const;
+  /// One-vs-rest false-positive rate: false alarms for `cls` over the
+  /// other rows' total (fpr(1) at K=2: benign flagged as malware).
+  double fpr(std::size_t cls) const;
   /// Unweighted mean of per-class F1 — the family-classification headline.
   double macro_f1() const;
-
-  /// Collapse onto the paper's binary matrix treating `positive_class` as
-  /// malicious and everything else as benign. For k=2 with
-  /// positive_class=1 this reproduces ConfusionMatrix bitwise (the counts
-  /// are the same integers, and each derived rate runs the same single
-  /// double division).
-  ConfusionMatrix binary(std::size_t positive_class = 1) const;
 
   std::string to_string() const;
   /// to_string with schema class names as row/column headers.

@@ -253,8 +253,8 @@ std::vector<std::uint8_t> predict_all(const Model& model,
   return out;
 }
 
-ConfusionMatrix evaluate(const Model& model, const LabeledData& data) {
-  return confusion(predict_all(model, data), data.labels);
+MultiConfusion evaluate(const Model& model, const LabeledData& data) {
+  return confusion_k(2, predict_all(model, data), data.labels);
 }
 
 }  // namespace gea::ml

@@ -57,7 +57,8 @@ std::vector<std::uint8_t> predict_all(const Model& model,
                                       const LabeledData& data,
                                       std::size_t batch_size = 256);
 
-/// Convenience: train-set/test-set evaluation.
-ConfusionMatrix evaluate(const Model& model, const LabeledData& data);
+/// Convenience: train-set/test-set evaluation of a binary model, as a K=2
+/// matrix. Throws std::invalid_argument on a label outside {0, 1}.
+MultiConfusion evaluate(const Model& model, const LabeledData& data);
 
 }  // namespace gea::ml

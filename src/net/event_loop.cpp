@@ -6,7 +6,6 @@
 #include <cstring>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "util/log.hpp"
 
 namespace gea::net {
@@ -22,19 +21,23 @@ constexpr std::size_t kReadChunk = 16 * 1024;
 constexpr std::size_t kReadCapPerRound = 256 * 1024;  // fairness across fds
 constexpr std::size_t kCompactAfter = 64 * 1024;
 
-void bump(std::atomic<std::uint64_t>& counter, obs::Counter* mirror) {
-  counter.fetch_add(1, std::memory_order_relaxed);
-  if (mirror != nullptr) mirror->inc();
-}
-
 }  // namespace
 
+EventLoop::Counters::Counters(const std::string& name)
+    : accepted(name + ".connections_accepted_total"),
+      closed(name + ".connections_closed_total"),
+      accept_failures(name + ".accept_failures_total"),
+      bytes_read(name + ".bytes_read_total"),
+      bytes_written(name + ".bytes_written_total"),
+      active_connections(
+          obs::MetricsRegistry::global().gauge(name + ".active_connections")) {}
+
 EventLoop::EventLoop(std::string name, Handler& handler,
-                     double drain_timeout_ms, Mirrors mirrors)
+                     double drain_timeout_ms)
     : name_(std::move(name)),
       handler_(handler),
       drain_timeout_ms_(drain_timeout_ms),
-      mirrors_(mirrors) {}
+      counters_(name_) {}
 
 EventLoop::~EventLoop() { stop(); }
 
@@ -63,7 +66,7 @@ void EventLoop::close(Connection& conn) {
   if (conn.dead) return;
   conn.dead = true;
   conn.sock.close();
-  bump(counters_.closed, mirrors_.closed);
+  counters_.closed.inc();
 }
 
 void EventLoop::flush(Connection& conn) {
@@ -76,7 +79,7 @@ void EventLoop::flush(Connection& conn) {
       return;
     }
     conn.out_off += io.bytes;
-    counters_.bytes_written.fetch_add(io.bytes, std::memory_order_relaxed);
+    counters_.bytes_written.inc(io.bytes);
     conn.active.reset();
   }
   if (conn.pending() == 0 || conn.out_off > kCompactAfter) {
@@ -105,7 +108,7 @@ void EventLoop::read(Connection& conn) {
     if (io.would_block) break;
     conn.in.insert(conn.in.end(), chunk, chunk + io.bytes);
     round += io.bytes;
-    counters_.bytes_read.fetch_add(io.bytes, std::memory_order_relaxed);
+    counters_.bytes_read.inc(io.bytes);
     conn.active.reset();
     if (io.bytes < sizeof(chunk)) break;  // likely drained
   }
@@ -118,7 +121,7 @@ void EventLoop::accept_ready() {
     auto res = fault ? ListenSocket::AcceptResult{} : listener_.accept_one();
     if (fault || !res.status.is_ok()) {
       // The pending connection stays queued; the next round retries it.
-      bump(counters_.accept_failures, mirrors_.accept_failures);
+      counters_.accept_failures.inc();
       return;
     }
     if (res.would_block) return;
@@ -126,16 +129,14 @@ void EventLoop::accept_ready() {
     if (conn == nullptr) continue;  // refused: res.socket closes here
     conn->sock = std::move(res.socket);
     conns_.push_back(std::move(conn));
-    bump(counters_.accepted, mirrors_.accepted);
+    counters_.accepted.inc();
   }
 }
 
 void EventLoop::reap() {
   std::erase_if(conns_, [](const auto& conn) { return conn->dead; });
   counters_.open.store(conns_.size(), std::memory_order_relaxed);
-  if (mirrors_.open != nullptr) {
-    mirrors_.open->set(static_cast<double>(conns_.size()));
-  }
+  counters_.active_connections.set(static_cast<double>(conns_.size()));
 }
 
 void EventLoop::run() {

@@ -21,14 +21,10 @@
 #include <vector>
 
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "util/status.hpp"
 #include "util/threadpool.hpp"
 #include "util/timer.hpp"
-
-namespace gea::obs {
-class Counter;
-class Gauge;
-}  // namespace gea::obs
 
 namespace gea::net {
 
@@ -73,26 +69,22 @@ class EventLoop {
     virtual bool accept_fault() { return false; }
   };
 
-  /// Connection counters, readable from any thread (all monotonic except
-  /// open, the live connections at the last reap).
+  /// Connection counters, readable from any thread, each mirrored into
+  /// the loop's "<name>.*" registry series: <name>.connections_accepted_total,
+  /// .connections_closed_total, .accept_failures_total, .bytes_read_total,
+  /// .bytes_written_total, and the gauge .active_connections for open, the
+  /// live connections at the last reap (the rest are monotonic).
   struct Counters {
-    std::atomic<std::uint64_t> accepted{0}, closed{0}, accept_failures{0},
-        bytes_read{0}, bytes_written{0};
+    explicit Counters(const std::string& name);
+    obs::Tally accepted, closed, accept_failures, bytes_read, bytes_written;
     std::atomic<std::size_t> open{0};
+    obs::Gauge& active_connections;
   };
 
-  /// Registry handles bumped beside the counters; null = not mirrored.
-  struct Mirrors {
-    obs::Counter* accepted = nullptr;
-    obs::Counter* closed = nullptr;
-    obs::Counter* accept_failures = nullptr;
-    obs::Gauge* open = nullptr;
-  };
-
-  /// `name` prefixes the loop's log lines. stop() lets busy connections
-  /// finish and flush for up to `drain_timeout_ms` (0 = close at once).
-  EventLoop(std::string name, Handler& handler, double drain_timeout_ms,
-            Mirrors mirrors);
+  /// `name` prefixes the loop's log lines and its registry series. stop()
+  /// lets busy connections finish and flush for up to `drain_timeout_ms`
+  /// (0 = close at once).
+  EventLoop(std::string name, Handler& handler, double drain_timeout_ms);
   ~EventLoop();  // stop()
 
   EventLoop(const EventLoop&) = delete;
@@ -132,7 +124,6 @@ class EventLoop {
   const std::string name_;
   Handler& handler_;
   const double drain_timeout_ms_;
-  const Mirrors mirrors_;
   ListenSocket listener_;
   std::vector<std::unique_ptr<Connection>> conns_;  // loop thread only
   Counters counters_;

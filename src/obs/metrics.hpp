@@ -1,7 +1,9 @@
 // Process-wide metrics: named counters, gauges, and fixed-bucket
 // histograms behind one registry, so every subsystem (pipeline stages,
 // training epochs, attack crafting, the thread pool, serving) reports into
-// a single exportable surface instead of four disconnected mechanisms.
+// a single exportable surface instead of four disconnected mechanisms. An
+// object that also reports its own totals counts through a Tally, which
+// pairs its count with the registry Counter it mirrors.
 //
 // Hot-path contract: Counter::inc and Histogram::observe write one
 // thread-striped, cache-line-padded atomic cell with relaxed ordering —
@@ -250,6 +252,39 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+
+/// One object's own count of an event plus the registry Counter that sums
+/// the event over the process — the one way a server, transport, client,
+/// cache or monitor counts. The mirror is resolved once, by name.
+///
+/// inc() counts the mirror first, then the instance with release order;
+/// value() loads with acquire, so a reader that has seen an instance count
+/// finds the registry at least as high (until a registry reset(), and
+/// unless metrics are off). The instance count ignores
+/// set_metrics_enabled(false) and GEA_OBS_NOOP: it is the object's own
+/// bookkeeping, which its snapshot structs report, not instrumentation.
+class Tally {
+ public:
+  explicit Tally(const std::string& name,
+                 MetricsRegistry& registry = MetricsRegistry::global())
+      : mirror_(registry.counter(name)) {}
+
+  Tally(const Tally&) = delete;
+  Tally& operator=(const Tally&) = delete;
+
+  void inc(std::uint64_t n = 1) {
+    mirror_.inc(n);
+    count_.fetch_add(n, std::memory_order_release);
+  }
+
+  std::uint64_t value() const {
+    return count_.load(std::memory_order_acquire);
+  }
+
+ private:
+  Counter& mirror_;
+  std::atomic<std::uint64_t> count_{0};
 };
 
 }  // namespace gea::obs

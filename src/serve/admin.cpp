@@ -1,7 +1,6 @@
 #include "serve/admin.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <sstream>
 #include <string_view>
@@ -63,18 +62,12 @@ struct AdminServer::Impl final : net::EventLoop::Handler {
   AdminConfig config;
   AdminHooks hooks;
 
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> slow_clients{0};
-
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::Counter& m_requests = reg.counter("admin.requests_total");
-  obs::Counter& m_slow_clients = reg.counter("admin.slow_clients_total");
+  obs::Tally requests{"admin.requests_total"};
+  obs::Tally slow_clients{"admin.slow_clients_total"};
 
   util::Stopwatch uptime;
   // Last: its thread calls into the members above. stop() closes at once.
-  net::EventLoop loop{
-      "admin", *this, /*drain_timeout_ms=*/0.0,
-      {.accept_failures = &reg.counter("admin.accept_failures_total")}};
+  net::EventLoop loop{"admin", *this, /*drain_timeout_ms=*/0.0};
 
   Impl(AdminServer& s, const AdminConfig& cfg, AdminHooks h)
       : self(s), config(cfg), hooks(h) {}
@@ -114,8 +107,7 @@ struct AdminServer::Impl final : net::EventLoop::Handler {
   void respond(net::Connection& conn, const Response& r, bool head = false) {
     conn.reading = false;
     conn.out = render_http(r, head);
-    requests.fetch_add(1, std::memory_order_relaxed);
-    m_requests.inc();
+    requests.inc();
     static_cast<HttpConn&>(conn).age.reset();  // write deadline starts now
   }
 
@@ -135,8 +127,7 @@ struct AdminServer::Impl final : net::EventLoop::Handler {
     const double limit =
         conn.reading ? config.read_timeout_ms : config.write_timeout_ms;
     if (conn.age.elapsed_ms() > limit) {
-      slow_clients.fetch_add(1, std::memory_order_relaxed);
-      m_slow_clients.inc();
+      slow_clients.inc();
       util::log_warn("admin: closing slow client (",
                      conn.reading ? "request stalled" : "response stalled",
                      " after ", conn.age.elapsed_ms(), " ms)");
@@ -166,10 +157,9 @@ std::uint16_t AdminServer::port() const { return impl_->loop.port(); }
 const AdminConfig& AdminServer::config() const { return impl_->config; }
 
 AdminSnapshot AdminServer::stats() const {
-  const net::EventLoop::Counters& l = impl_->loop.counters();
-  return {.requests = impl_->requests.load(std::memory_order_relaxed),
-          .accept_failures = l.accept_failures.load(std::memory_order_relaxed),
-          .slow_clients = impl_->slow_clients.load(std::memory_order_relaxed)};
+  return {.requests = impl_->requests.value(),
+          .accept_failures = impl_->loop.counters().accept_failures.value(),
+          .slow_clients = impl_->slow_clients.value()};
 }
 
 AdminServer::Response AdminServer::handle(const std::string& method,

@@ -35,9 +35,18 @@ class BoundedQueue {
   /// Non-blocking admission: false when full or closed (the item is left
   /// untouched in that case so the caller can fail it with a Status).
   bool try_push(T& item) {
+    return try_push(item, [] {});
+  }
+
+  /// try_push() that calls `on_admit` under the lock once the item is
+  /// admitted, before a consumer can pop it: whatever it counts happens
+  /// before anything a consumer counts for the item.
+  template <typename OnAdmit>
+  bool try_push(T& item, OnAdmit&& on_admit) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;
+      on_admit();
       items_.push_back(std::move(item));
     }
     cv_.notify_one();

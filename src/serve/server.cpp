@@ -31,6 +31,7 @@ DetectionServer::DetectionServer(ModelRegistry& registry,
                                config.feature_cache_capacity)),
       featurize_ms_(
           &obs::MetricsRegistry::global().histogram("serve.featurize_ms")),
+      stats_(std::max<std::size_t>(1, config.max_batch)),
       featurizers_(util::default_thread_count()) {
   if (config_.workers == 0) config_.workers = util::default_thread_count();
   if (config_.max_batch == 0) config_.max_batch = 1;
@@ -128,10 +129,9 @@ void DetectionServer::enqueue(Request& req) {
     fail(ErrorCode::kDeadlineExceeded, "request expired before enqueue");
     return;
   }
-  if (queue_.try_push(req)) {
-    stats_.on_accepted();
-    return;
-  }
+  // Counted as the request becomes poppable, so its acceptance happens
+  // before a worker can complete it.
+  if (queue_.try_push(req, [this] { stats_.on_accepted(); })) return;
   // try_push also refuses a closed queue: that server is stopped, not full.
   if (queue_.closed()) {
     fail(ErrorCode::kUnavailable, "server stopped");

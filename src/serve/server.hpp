@@ -60,6 +60,7 @@ struct ServerConfig {
   std::size_t queue_capacity = 256;
   /// Micro-batch ceiling. 1 disables batching: each request runs as a
   /// batch of one through Model::infer (the bench's unbatched baseline).
+  /// The stats keep one exact count per batch size up to it.
   std::size_t max_batch = 16;
   /// How long a worker lingers for stragglers after the first dequeue.
   std::size_t max_wait_us = 200;

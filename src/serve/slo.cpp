@@ -3,28 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.hpp"
-
 namespace gea::serve {
-
-namespace {
-
-obs::Counter& breach_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter("slo.breach");
-  return c;
-}
-
-obs::Gauge& degraded_gauge() {
-  static obs::Gauge& g = obs::MetricsRegistry::global().gauge("slo.degraded");
-  return g;
-}
-
-obs::Gauge& burn_gauge() {
-  static obs::Gauge& g = obs::MetricsRegistry::global().gauge("slo.burn_rate");
-  return g;
-}
-
-}  // namespace
 
 SloMonitor::SloMonitor(SloConfig config)
     : config_(config),
@@ -32,8 +11,12 @@ SloMonitor::SloMonitor(SloConfig config)
                                     std::max<std::size_t>(1, config.buckets))),
       bounds_(obs::default_latency_buckets_ms()),
       origin_(std::chrono::steady_clock::now()),
-      ring_(std::max<std::size_t>(1, config.buckets)) {
+      ring_(std::max<std::size_t>(1, config.buckets)),
+      degraded_gauge_(obs::MetricsRegistry::global().gauge("slo.degraded")),
+      burn_gauge_(obs::MetricsRegistry::global().gauge("slo.burn_rate")) {
   for (auto& s : ring_) s.latency.assign(bounds_.size() + 1, 0);
+  window_.bounds = bounds_;
+  window_.buckets.assign(bounds_.size() + 1, 0);
 }
 
 double SloMonitor::now_s_unlocked() const {
@@ -93,7 +76,7 @@ SloSnapshot SloMonitor::evaluate(double now_s) {
   const auto tick =
       static_cast<std::uint64_t>(std::max(0.0, now_s) / slice_s_);
   SloSnapshot snap;
-  std::vector<std::uint64_t> merged(bounds_.size() + 1, 0);
+  std::fill(window_.buckets.begin(), window_.buckets.end(), 0);
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     // Slice at ring index i is live iff its tick is in (tick - N, tick].
     const std::uint64_t n = ring_.size();
@@ -104,30 +87,17 @@ SloSnapshot SloMonitor::evaluate(double now_s) {
     if (slice_tick > tick || tick - slice_tick >= n) continue;
     snap.requests += s.requests;
     snap.errors += s.errors;
-    for (std::size_t b = 0; b < merged.size(); ++b) merged[b] += s.latency[b];
+    for (std::size_t b = 0; b < window_.buckets.size(); ++b) {
+      window_.buckets[b] += s.latency[b];
+    }
   }
 
   if (snap.requests > 0) {
     snap.error_fraction =
         static_cast<double>(snap.errors) / static_cast<double>(snap.requests);
-    // Interpolated p99 over the merged window histogram, mirroring
-    // obs::HistogramSnapshot::quantile.
-    const double target = 0.99 * static_cast<double>(snap.requests);
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < merged.size(); ++b) {
-      const std::uint64_t prev = cumulative;
-      cumulative += merged[b];
-      if (static_cast<double>(cumulative) < target) continue;
-      const double lo = b == 0 ? 0.0 : bounds_[b - 1];
-      if (b >= bounds_.size() || merged[b] == 0) {
-        snap.p99_ms = b >= bounds_.size() ? lo : bounds_[b];
-      } else {
-        const double frac = (target - static_cast<double>(prev)) /
-                            static_cast<double>(merged[b]);
-        snap.p99_ms = lo + frac * (bounds_[b] - lo);
-      }
-      break;
-    }
+    // Every request lands in exactly one latency bucket.
+    window_.count = snap.requests;
+    snap.p99_ms = window_.quantile(0.99);
   }
   snap.burn_rate = config_.max_error_fraction > 0.0
                        ? snap.error_fraction / config_.max_error_fraction
@@ -138,8 +108,7 @@ SloSnapshot SloMonitor::evaluate(double now_s) {
     if (!degraded_ &&
         (snap.burn_rate >= config_.burn_degrade || latency_breach)) {
       degraded_ = true;
-      ++breaches_;
-      breach_counter().inc();
+      breaches_.inc();
     } else if (degraded_ && snap.burn_rate <= config_.burn_recover &&
                !latency_breach) {
       degraded_ = false;
@@ -150,9 +119,9 @@ SloSnapshot SloMonitor::evaluate(double now_s) {
   }
 
   snap.degraded = degraded_;
-  snap.breaches = breaches_;
-  degraded_gauge().set(degraded_ ? 1.0 : 0.0);
-  burn_gauge().set(snap.burn_rate);
+  snap.breaches = breaches_.value();
+  degraded_gauge_.set(degraded_ ? 1.0 : 0.0);
+  burn_gauge_.set(snap.burn_rate);
   return snap;
 }
 

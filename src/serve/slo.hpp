@@ -30,6 +30,8 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace gea::serve {
 
 struct SloConfig {
@@ -100,8 +102,11 @@ class SloMonitor {
 
   std::mutex mu_;
   std::vector<Slice> ring_;
+  obs::HistogramSnapshot window_;  // evaluate()'s merge of the live slices
   bool degraded_ = false;
-  std::uint64_t breaches_ = 0;
+  obs::Tally breaches_{"slo.breach"};
+  obs::Gauge& degraded_gauge_;
+  obs::Gauge& burn_gauge_;
 };
 
 }  // namespace gea::serve

@@ -1,9 +1,8 @@
 #include "serve/stats.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
-
-#include "obs/metrics.hpp"
 
 namespace gea::serve {
 
@@ -48,86 +47,49 @@ std::string StatsSnapshot::summary() const {
   return os.str();
 }
 
-ServerStats::ServerStats() {
-  auto& reg = obs::MetricsRegistry::global();
-  reg_.submitted = &reg.counter("serve.submitted_total");
-  reg_.accepted = &reg.counter("serve.accepted_total");
-  reg_.rejected_full = &reg.counter("serve.rejected_full_total");
-  reg_.rejected_invalid = &reg.counter("serve.rejected_invalid_total");
-  reg_.rejected_no_model = &reg.counter("serve.rejected_no_model_total");
-  reg_.expired = &reg.counter("serve.expired_total");
-  reg_.completed = &reg.counter("serve.completed_total");
-  reg_.batches = &reg.counter("serve.batches_total");
-  reg_.batch_size =
-      &reg.histogram("serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128});
-  reg_.queue_ms = &reg.histogram("serve.queue_ms");
-  reg_.infer_ms = &reg.histogram("serve.infer_ms");
-  reg_.total_ms = &reg.histogram("serve.total_ms");
-}
-
-void ServerStats::on_submitted() {
-  reg_.submitted->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.submitted;
-}
-
-void ServerStats::on_accepted() {
-  reg_.accepted->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.accepted;
-}
-
-void ServerStats::on_rejected_full() {
-  reg_.rejected_full->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.rejected_full;
-}
-
-void ServerStats::on_rejected_invalid() {
-  reg_.rejected_invalid->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.rejected_invalid;
-}
-
-void ServerStats::on_rejected_no_model() {
-  reg_.rejected_no_model->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.rejected_no_model;
-}
-
-void ServerStats::on_expired() {
-  reg_.expired->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.expired;
-}
+ServerStats::ServerStats(std::size_t max_batch)
+    // Sizes 0..max_batch. SIZE_MAX must fail here, not wrap to no slots.
+    : batch_sizes_(std::max(max_batch, max_batch + 1)),
+      batch_size_(obs::MetricsRegistry::global().histogram(
+          "serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128})),
+      queue_ms_(obs::MetricsRegistry::global().histogram("serve.queue_ms")),
+      infer_ms_(obs::MetricsRegistry::global().histogram("serve.infer_ms")),
+      total_ms_(obs::MetricsRegistry::global().histogram("serve.total_ms")) {}
 
 void ServerStats::on_batch(std::size_t batch_size) {
-  reg_.batches->inc();
-  reg_.batch_size->observe(static_cast<double>(batch_size));
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.batches;
-  ++counts_.batch_sizes[batch_size];
+  batch_sizes_.at(batch_size).fetch_add(1, std::memory_order_relaxed);
+  batches_.inc();
+  batch_size_.observe(static_cast<double>(batch_size));
 }
 
 void ServerStats::on_completed(double queue_ms, double infer_ms,
                                double total_ms, std::uint64_t trace_id) {
-  reg_.completed->inc();
-  reg_.queue_ms->observe(queue_ms, trace_id);
-  reg_.infer_ms->observe(infer_ms, trace_id);
-  reg_.total_ms->observe(total_ms, trace_id);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.completed;
+  completed_.inc();
+  queue_ms_.observe(queue_ms, trace_id);
+  infer_ms_.observe(infer_ms, trace_id);
+  total_ms_.observe(total_ms, trace_id);
 }
 
 StatsSnapshot ServerStats::snapshot(std::size_t queue_depth) const {
+  // A request is counted submitted, then accepted, then completed, each
+  // count happening before the next: loading in the reverse order keeps
+  // every earlier stage at least as high as the later ones.
   StatsSnapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snap = counts_;
+  snap.completed = completed_.value();
+  snap.batches = batches_.value();
+  for (std::size_t size = 0; size < batch_sizes_.size(); ++size) {
+    const std::uint64_t n = batch_sizes_[size].load(std::memory_order_relaxed);
+    if (n != 0) snap.batch_sizes[size] = n;
   }
-  snap.queue_ms = summarize(reg_.queue_ms->snapshot());
-  snap.infer_ms = summarize(reg_.infer_ms->snapshot());
-  snap.total_ms = summarize(reg_.total_ms->snapshot());
+  snap.expired = expired_.value();
+  snap.rejected_invalid = rejected_invalid_.value();
+  snap.rejected_no_model = rejected_no_model_.value();
+  snap.rejected_full = rejected_full_.value();
+  snap.accepted = accepted_.value();
+  snap.submitted = submitted_.value();
+  snap.queue_ms = summarize(queue_ms_.snapshot());
+  snap.infer_ms = summarize(infer_ms_.snapshot());
+  snap.total_ms = summarize(total_ms_.snapshot());
   snap.elapsed_s = started_.elapsed_ms() / 1000.0;
   snap.qps = snap.elapsed_s > 0.0
                  ? static_cast<double>(snap.completed) / snap.elapsed_s

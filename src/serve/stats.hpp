@@ -3,18 +3,15 @@
 // summary() for logs and demos.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
+#include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
-
-namespace gea::obs {
-class Counter;
-class Histogram;
-}  // namespace gea::obs
 
 namespace gea::serve {
 
@@ -48,41 +45,44 @@ struct StatsSnapshot {
   double qps = 0.0;        // completed / elapsed
   std::size_t queue_depth = 0;  // at snapshot time
 
-  /// Mean batch size, computed from the batch-size histogram itself
-  /// (sum of size*count over batch_sizes / batches) so the mean and the
-  /// histogram can never disagree. Expired requests never reach a batch,
-  /// so they do not enter this mean.
+  /// Mean batch size, computed from the batch-size histogram alone (sum
+  /// of size*count over the sum of count) so the mean and the histogram
+  /// can never disagree, even in a snapshot taken while batches run.
+  /// Expired requests never reach a batch, so they do not enter this mean.
   double mean_batch() const {
-    if (batches == 0) return 0.0;
-    std::uint64_t in_batches = 0;
+    std::uint64_t in_batches = 0, counted = 0;
     for (const auto& [size, count] : batch_sizes) {
       in_batches += static_cast<std::uint64_t>(size) * count;
+      counted += count;
     }
-    return static_cast<double>(in_batches) / static_cast<double>(batches);
+    return counted == 0 ? 0.0
+                        : static_cast<double>(in_batches) /
+                              static_cast<double>(counted);
   }
 
   /// One-paragraph rendering, PipelineReport::summary() style.
   std::string summary() const;
 };
 
-/// Thread-safe accumulator behind the snapshot. One mutex guards the
-/// counters; the serving hot path takes it twice per request (admission,
-/// completion) which is noise next to a CNN forward. No per-request value
-/// is stored: latencies go only to the registry histograms.
-///
-/// Every event is also published to obs::MetricsRegistry::global() under
-/// "serve.*" (handles resolved once at construction), so serving shares the
-/// process-wide exportable surface with the pipeline, trainer, and attacks.
+/// Lock-free accumulator behind the snapshot. Every event counts through
+/// an obs::Tally: once for this server and once in the process-wide
+/// "serve.*" registry series, which aggregate every server in the process.
+/// No per-request value is stored: latencies go only to the registry
+/// histograms.
 class ServerStats {
  public:
-  ServerStats();
+  /// `max_batch` is the largest batch on_batch() may report: the exact
+  /// per-size counts are kept up to it. The default is the top bound of
+  /// the serve.batch_size histogram.
+  explicit ServerStats(std::size_t max_batch = 128);
 
-  void on_submitted();
-  void on_accepted();
-  void on_rejected_full();
-  void on_rejected_invalid();
-  void on_rejected_no_model();
-  void on_expired();
+  void on_submitted() { submitted_.inc(); }
+  void on_accepted() { accepted_.inc(); }
+  void on_rejected_full() { rejected_full_.inc(); }
+  void on_rejected_invalid() { rejected_invalid_.inc(); }
+  void on_rejected_no_model() { rejected_no_model_.inc(); }
+  void on_expired() { expired_.inc(); }
+  /// Throws std::out_of_range for a batch larger than max_batch.
   void on_batch(std::size_t batch_size);
   /// `trace_id` (when nonzero) becomes an exemplar candidate on the
   /// serve.queue_ms/infer_ms/total_ms registry histograms, linking the
@@ -90,31 +90,25 @@ class ServerStats {
   void on_completed(double queue_ms, double infer_ms, double total_ms,
                     std::uint64_t trace_id = 0);
 
+  /// Reads later stages first, so completed <= accepted <= submitted in
+  /// every snapshot, even one taken while requests are in flight.
   StatsSnapshot snapshot(std::size_t queue_depth = 0) const;
 
  private:
-  mutable std::mutex mu_;
-  StatsSnapshot counts_;  // latency summaries filled by snapshot()
   util::Stopwatch started_;
-
-  // Registry mirrors ("serve.*"), shared across ServerStats instances by
-  // design: the registry aggregates the process, the snapshot isolates the
-  // server.
-  struct Registry {
-    obs::Counter* submitted;
-    obs::Counter* accepted;
-    obs::Counter* rejected_full;
-    obs::Counter* rejected_invalid;
-    obs::Counter* rejected_no_model;
-    obs::Counter* expired;
-    obs::Counter* completed;
-    obs::Counter* batches;
-    obs::Histogram* batch_size;
-    obs::Histogram* queue_ms;
-    obs::Histogram* infer_ms;
-    obs::Histogram* total_ms;
-  };
-  Registry reg_{};
+  obs::Tally submitted_{"serve.submitted_total"};
+  obs::Tally accepted_{"serve.accepted_total"};
+  obs::Tally rejected_full_{"serve.rejected_full_total"};
+  obs::Tally rejected_invalid_{"serve.rejected_invalid_total"};
+  obs::Tally rejected_no_model_{"serve.rejected_no_model_total"};
+  obs::Tally expired_{"serve.expired_total"};
+  obs::Tally completed_{"serve.completed_total"};
+  obs::Tally batches_{"serve.batches_total"};
+  std::vector<std::atomic<std::uint64_t>> batch_sizes_;  // [size]
+  obs::Histogram& batch_size_;
+  obs::Histogram& queue_ms_;
+  obs::Histogram& infer_ms_;
+  obs::Histogram& total_ms_;
 };
 
 }  // namespace gea::serve

@@ -176,12 +176,6 @@ struct FrameConn : net::Connection {
   std::optional<util::Stopwatch> partial;  // age of an incomplete frame
 };
 
-/// Count one event for this server and in its registry mirror.
-void bump(std::atomic<std::uint64_t>& counter, obs::Counter& mirror) {
-  counter.fetch_add(1, std::memory_order_relaxed);
-  mirror.inc();
-}
-
 }  // namespace
 
 /// The frame protocol, as the event loop's handler.
@@ -189,32 +183,23 @@ struct TransportServer::Impl final : net::EventLoop::Handler {
   DetectionServer& server;
   TransportConfig config;
 
-  struct Counters {
-    std::atomic<std::uint64_t> frames_read{0}, frames_written{0},
-        quarantined{0}, shed{0}, idle_timeouts{0}, read_timeouts{0},
-        requests{0}, responses_ok{0}, responses_error{0};
-  } c;
-
-  // Registry mirrors ("net.*"), resolved once; shared across instances by
-  // design (the registry aggregates the process, stats() isolates this
-  // server). The loop bumps the connection-level ones.
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::Counter& m_frames_read = reg.counter("net.frames_read_total");
-  obs::Counter& m_frames_written = reg.counter("net.frames_written_total");
-  obs::Counter& m_quarantined = reg.counter("net.frames_quarantined_total");
-  obs::Counter& m_shed = reg.counter("net.requests_shed_total");
-  obs::Counter& m_idle_timeouts = reg.counter("net.idle_timeouts_total");
-  obs::Counter& m_read_timeouts = reg.counter("net.read_timeouts_total");
-  obs::Counter& m_requests = reg.counter("net.requests_total");
-  obs::Histogram& m_request_ms = reg.histogram("net.request_ms");
+  // Each count is this server's and, in the "net.*" series, the process's
+  // (the registry aggregates every transport; stats() isolates this one).
+  // The loop counts the connection-level events.
+  obs::Tally frames_read{"net.frames_read_total"};
+  obs::Tally frames_written{"net.frames_written_total"};
+  obs::Tally quarantined{"net.frames_quarantined_total"};
+  obs::Tally shed_requests{"net.requests_shed_total"};
+  obs::Tally idle_timeouts{"net.idle_timeouts_total"};
+  obs::Tally read_timeouts{"net.read_timeouts_total"};
+  obs::Tally requests{"net.requests_total"};
+  obs::Tally responses_ok{"net.responses_ok_total"};
+  obs::Tally responses_error{"net.responses_error_total"};
+  obs::Histogram& request_ms =
+      obs::MetricsRegistry::global().histogram("net.request_ms");
 
   // Last: its thread calls into the members above.
-  net::EventLoop loop{
-      "net", *this, config.drain_timeout_ms,
-      {.accepted = &reg.counter("net.connections_accepted_total"),
-       .closed = &reg.counter("net.connections_closed_total"),
-       .accept_failures = &reg.counter("net.accept_failures_total"),
-       .open = &reg.gauge("net.active_connections")}};
+  net::EventLoop loop{"net", *this, config.drain_timeout_ms};
 
   Impl(DetectionServer& s, const TransportConfig& cfg)
       : server(s), config(cfg) {}
@@ -223,7 +208,7 @@ struct TransportServer::Impl final : net::EventLoop::Handler {
     if (open >= config.max_connections) {
       // Admission control for connection storms: accept to drain the
       // backlog, then close immediately — counted, bounded, no hang.
-      bump(c.shed, m_shed);
+      shed_requests.inc();
       return nullptr;
     }
     return std::make_unique<FrameConn>();
@@ -245,9 +230,8 @@ struct TransportServer::Impl final : net::EventLoop::Handler {
     f.payload = encode_detect_response_payload(result, payload_version);
     const auto bytes = net::encode_frame(f, config.fault_injection);
     conn.out.insert(conn.out.end(), bytes.begin(), bytes.end());
-    bump(c.frames_written, m_frames_written);
-    (result.is_ok() ? c.responses_ok : c.responses_error)
-        .fetch_add(1, std::memory_order_relaxed);
+    frames_written.inc();
+    (result.is_ok() ? responses_ok : responses_error).inc();
     if (conn.pending() > 2 * config.write_buffer_limit) {
       util::log_warn("net: closing connection over hard write-buffer cap (",
                      conn.pending(), " bytes pending)");
@@ -262,7 +246,7 @@ struct TransportServer::Impl final : net::EventLoop::Handler {
   }
 
   void shed(FrameConn& conn, std::uint64_t id, const char* why) {
-    bump(c.shed, m_shed);
+    shed_requests.inc();
     // A shed request never reached the queue; it still consumed error
     // budget from the client's point of view.
     if (config.slo != nullptr) config.slo->record(0.0, /*ok=*/false);
@@ -274,7 +258,7 @@ struct TransportServer::Impl final : net::EventLoop::Handler {
   /// stream cannot be resynchronized).
   void quarantine(FrameConn& conn, std::uint64_t id, const Status& status,
                   bool recoverable) {
-    bump(c.quarantined, m_quarantined);
+    quarantined.inc();
     if (config.slo != nullptr) config.slo->record(0.0, /*ok=*/false);
     util::log_warn("net: quarantined frame: ", status.to_string());
     if (!recoverable || config.strict) return loop.close(conn);
@@ -290,7 +274,7 @@ struct TransportServer::Impl final : net::EventLoop::Handler {
                  /*recoverable=*/true);
       return;
     }
-    bump(c.requests, m_requests);
+    requests.inc();
 
     // Per-connection admission control, layered in front of the queue's
     // global admission control: shed instead of buffering unboundedly.
@@ -344,7 +328,7 @@ struct TransportServer::Impl final : net::EventLoop::Handler {
         quarantine(conn, res.frame.request_id, res.status, res.recoverable);
         continue;
       }
-      bump(c.frames_read, m_frames_read);
+      frames_read.inc();
       dispatch_frame(conn, std::move(res.frame));
     }
     if (off > 0) conn.in.erase(conn.in.begin(), conn.in.begin() + off);
@@ -379,7 +363,7 @@ struct TransportServer::Impl final : net::EventLoop::Handler {
                 std::to_string(result.value().schema_digest)));
       }
       const double ms = it->since.elapsed_ms();
-      m_request_ms.observe(ms, it->ctx.trace_id);
+      request_ms.observe(ms, it->ctx.trace_id);
       if (it->ctx.valid()) {
         // Server-side wall time for the request (receipt -> response
         // enqueued), parented under the client's send span.
@@ -402,37 +386,34 @@ struct TransportServer::Impl final : net::EventLoop::Handler {
     if (conn.dead || loop.draining()) return;
     if (conn.partial.has_value() &&
         conn.partial->elapsed_ms() > config.read_timeout_ms) {
-      bump(c.read_timeouts, m_read_timeouts);
+      read_timeouts.inc();
       util::log_warn("net: closing slow-loris connection (partial frame ",
                      conn.partial->elapsed_ms(), " ms old)");
       loop.close(conn);
     } else if (conn.inflight.empty() &&
                conn.active.elapsed_ms() > config.idle_timeout_ms) {
-      bump(c.idle_timeouts, m_idle_timeouts);
+      idle_timeouts.inc();
       loop.close(conn);
     }
   }
 
   TransportSnapshot snapshot() const {
-    const auto load = [](const auto& counter) {
-      return counter.load(std::memory_order_relaxed);
-    };
     const net::EventLoop::Counters& l = loop.counters();
-    return {.accepted = load(l.accepted),
-            .closed = load(l.closed),
-            .accept_failures = load(l.accept_failures),
-            .frames_read = load(c.frames_read),
-            .frames_written = load(c.frames_written),
-            .bytes_read = load(l.bytes_read),
-            .bytes_written = load(l.bytes_written),
-            .quarantined = load(c.quarantined),
-            .shed = load(c.shed),
-            .idle_timeouts = load(c.idle_timeouts),
-            .read_timeouts = load(c.read_timeouts),
-            .requests = load(c.requests),
-            .responses_ok = load(c.responses_ok),
-            .responses_error = load(c.responses_error),
-            .active_connections = load(l.open)};
+    return {.accepted = l.accepted.value(),
+            .closed = l.closed.value(),
+            .accept_failures = l.accept_failures.value(),
+            .frames_read = frames_read.value(),
+            .frames_written = frames_written.value(),
+            .bytes_read = l.bytes_read.value(),
+            .bytes_written = l.bytes_written.value(),
+            .quarantined = quarantined.value(),
+            .shed = shed_requests.value(),
+            .idle_timeouts = idle_timeouts.value(),
+            .read_timeouts = read_timeouts.value(),
+            .requests = requests.value(),
+            .responses_ok = responses_ok.value(),
+            .responses_error = responses_error.value(),
+            .active_connections = l.open.load(std::memory_order_relaxed)};
   }
 };
 
@@ -467,10 +448,6 @@ TransportSnapshot TransportServer::stats() const { return impl_->snapshot(); }
 
 namespace {
 
-obs::Counter& client_counter(const char* name) {
-  return obs::MetricsRegistry::global().counter(name);
-}
-
 /// A budget as a poll timeout: at least 1 ms, and saturated at INT_MAX, so
 /// an infinite budget waits in long slices instead of leaving int's range.
 int poll_timeout_ms(double budget_ms) {
@@ -486,6 +463,15 @@ RemoteClient::RemoteClient(const ClientConfig& config)
 
 RemoteClient::~RemoteClient() = default;
 
+ClientStats RemoteClient::stats() const {
+  return {.requests = requests_.value(),
+          .attempts = attempts_.value(),
+          .retries = retries_.value(),
+          .reconnects = reconnects_.value(),
+          .transport_errors = transport_errors_.value(),
+          .last_trace_id = last_trace_id_};
+}
+
 void RemoteClient::disconnect() {
   sock_.close();
   rbuf_.clear();
@@ -500,18 +486,14 @@ util::Status RemoteClient::ensure_connected(double budget_ms) {
   }
   sock_ = std::move(sock).value();
   rbuf_.clear();
-  if (stats_.attempts > 0) {
-    ++stats_.reconnects;
-    client_counter("net.client.reconnects_total").inc();
-  }
+  if (attempts_.value() > 0) reconnects_.inc();
   return Status::ok();
 }
 
 RemoteClient::Attempt RemoteClient::attempt_once(
     const std::vector<double>& features, std::uint64_t request_id,
     double budget_ms, bool has_deadline, const obs::TraceContext& ctx) {
-  ++stats_.attempts;
-  client_counter("net.client.attempts_total").inc();
+  attempts_.inc();
 
   // One send span per wire attempt (retries each get their own), parented
   // under the request's root span. Its context rides the frame header, so
@@ -520,8 +502,7 @@ RemoteClient::Attempt RemoteClient::attempt_once(
 
   const auto transport_fail = [this](Status st) {
     disconnect();
-    ++stats_.transport_errors;
-    client_counter("net.client.transport_errors_total").inc();
+    transport_errors_.inc();
     return Attempt(util::Result<Verdict>(
                        std::move(st.with_context("RemoteClient"))),
                    /*transport=*/true);
@@ -622,7 +603,7 @@ RemoteClient::Attempt RemoteClient::attempt_once(
 
 util::Result<Verdict> RemoteClient::detect(const std::vector<double>& features,
                                            double deadline_ms) {
-  ++stats_.requests;
+  requests_.inc();
   const bool has_deadline = deadline_ms > 0.0;
   util::Stopwatch overall;
   Status last = Status::error(ErrorCode::kUnavailable, "no attempt made");
@@ -632,14 +613,14 @@ util::Result<Verdict> RemoteClient::detect(const std::vector<double>& features,
   // server spans) parent under.
   const bool traced =
       config_.trace_sample_every > 0 &&
-      (stats_.requests - 1) % config_.trace_sample_every == 0;
+      (requests_.value() - 1) % config_.trace_sample_every == 0;
   std::optional<obs::TraceSpan> root;
   obs::TraceContext root_ctx;
   if (traced) {
     root.emplace("client.detect", obs::start_trace(/*sampled=*/true));
     root_ctx = root->context();
   }
-  stats_.last_trace_id = root_ctx.trace_id;
+  last_trace_id_ = root_ctx.trace_id;
 
   for (std::size_t attempt = 0;; ++attempt) {
     double budget = has_deadline ? deadline_ms - overall.elapsed_ms()
@@ -655,10 +636,8 @@ util::Result<Verdict> RemoteClient::detect(const std::vector<double>& features,
     Attempt a = [&] {
       auto st = ensure_connected(std::min(budget, config_.connect_timeout_ms));
       if (!st.is_ok()) {
-        ++stats_.attempts;
-        client_counter("net.client.attempts_total").inc();
-        ++stats_.transport_errors;
-        client_counter("net.client.transport_errors_total").inc();
+        attempts_.inc();
+        transport_errors_.inc();
         return Attempt(util::Result<Verdict>(std::move(st)),
                        /*transport=*/true);
       }
@@ -704,8 +683,7 @@ util::Result<Verdict> RemoteClient::detect(const std::vector<double>& features,
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(backoff));
     }
-    ++stats_.retries;
-    client_counter("net.client.retries_total").inc();
+    retries_.inc();
   }
 }
 

@@ -44,6 +44,7 @@
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -228,7 +229,8 @@ struct ClientConfig {
   std::uint64_t schema_digest = 0;
 };
 
-/// Client-side counters (single instance = single thread; read after use).
+/// Client-side counters, each mirrored into a "net.client.*" series
+/// (last_trace_id aside).
 struct ClientStats {
   std::uint64_t requests = 0;    // detect() calls
   std::uint64_t attempts = 0;    // wire attempts (>= requests)
@@ -260,7 +262,7 @@ class RemoteClient {
 
   bool connected() const { return sock_.valid(); }
   void disconnect();
-  const ClientStats& stats() const { return stats_; }
+  ClientStats stats() const;
 
  private:
   struct Attempt {
@@ -280,7 +282,12 @@ class RemoteClient {
   std::vector<std::uint8_t> rbuf_;
   std::uint64_t next_id_ = 1;
   util::Rng jitter_;
-  ClientStats stats_;
+  obs::Tally requests_{"net.client.requests_total"};
+  obs::Tally attempts_{"net.client.attempts_total"};
+  obs::Tally retries_{"net.client.retries_total"};
+  obs::Tally reconnects_{"net.client.reconnects_total"};
+  obs::Tally transport_errors_{"net.client.transport_errors_total"};
+  std::uint64_t last_trace_id_ = 0;
 };
 
 }  // namespace gea::serve

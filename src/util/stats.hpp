@@ -63,9 +63,9 @@ struct LatencySummary {
 };
 
 /// Accumulates individual latency observations and summarizes them with the
-/// shared percentile math above. Used by serve::ServerStats and the bench
-/// load generators so no bench re-implements percentile interpolation.
-/// Not thread-safe; synchronize externally (ServerStats does).
+/// shared percentile math above. Used by the bench load generators so no
+/// bench re-implements percentile interpolation. Not thread-safe;
+/// synchronize externally.
 class LatencyRecorder {
  public:
   void record(double value) { samples_.push_back(value); }

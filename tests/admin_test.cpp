@@ -7,19 +7,26 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "features/disk_cache.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/admin.hpp"
+#include "serve/registry.hpp"
+#include "serve/server.hpp"
 #include "serve/slo.hpp"
+#include "serve/transport.hpp"
 #include "util/faultinject.hpp"
 #include "util/timer.hpp"
 
@@ -447,6 +454,120 @@ TEST(Admin, SlowClientFaultIsDisconnectedAndCounted) {
   const auto resp = http_get(admin.port(), "/healthz");
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->rfind("HTTP/1.0 200", 0), 0u);
+}
+
+// Every AdminSnapshot count is an obs::Tally: over a session with served
+// scrapes, a failed accept and a stalled client, each equals the change in
+// its "admin.*" series, and the admin loop counts its connections under
+// the same names the transport's loop uses under "net.*".
+TEST(Admin, InstanceCountsEqualTheirRegistryDeltas) {
+#if defined(GEA_OBS_NOOP)
+  GTEST_SKIP() << "GEA_OBS_NOOP build: instrumentation compiled out";
+#endif
+  const auto before = obs::MetricsRegistry::global().snapshot().counters;
+  serve::AdminSnapshot snap;
+  {
+    AdminConfig cfg;
+    cfg.read_timeout_ms = 80.0;
+    AdminServer admin(cfg);
+    ASSERT_TRUE(admin.start().is_ok());
+    ASSERT_TRUE(spin_until([&] { return admin.running(); }));
+    {
+      util::ScopedFault fault(util::faults::kAdminAcceptFail, /*skip=*/0,
+                              /*count=*/1);
+      ASSERT_TRUE(http_get(admin.port(), "/healthz").has_value());
+    }
+    ASSERT_TRUE(http_get(admin.port(), "/metrics").has_value());
+    auto sock = net::connect_to("127.0.0.1", admin.port(), 2000);
+    ASSERT_TRUE(sock.is_ok());
+    net::Socket s = std::move(sock).value();
+    send_str(s, "GET /healthz HTTP/1.0\r\n");  // never finished
+    ASSERT_TRUE(spin_until([&] { return admin.stats().slow_clients >= 1; }));
+    admin.stop();
+    snap = admin.stats();
+  }
+  const auto after = obs::MetricsRegistry::global().snapshot().counters;
+  const auto delta = [&](const std::string& name) {
+    const auto b = before.find(name);
+    return after.at(name) - (b == before.end() ? 0 : b->second);
+  };
+  EXPECT_EQ(snap.requests, 2u);
+  EXPECT_EQ(snap.accept_failures, 1u);
+  EXPECT_EQ(snap.slow_clients, 1u);
+  EXPECT_EQ(delta("admin.requests_total"), snap.requests);
+  EXPECT_EQ(delta("admin.accept_failures_total"), snap.accept_failures);
+  EXPECT_EQ(delta("admin.slow_clients_total"), snap.slow_clients);
+  EXPECT_EQ(delta("admin.connections_accepted_total"), 3u);
+  EXPECT_EQ(delta("admin.connections_closed_total"), 3u);
+  EXPECT_GT(delta("admin.bytes_read_total"), 0u);
+  EXPECT_GT(delta("admin.bytes_written_total"), 0u);
+}
+
+// The registry series every counting class of the serving plane registers
+// on construction: the names they had before they counted through
+// obs::Tally, each keeping its meaning, plus exactly the ones DESIGN.md §8
+// lists as added with it.
+TEST(Admin, ServingPlaneRegistersEverySeries) {
+  const std::set<std::string> counters_before = {
+      "serve.submitted_total", "serve.accepted_total",
+      "serve.rejected_full_total", "serve.rejected_invalid_total",
+      "serve.rejected_no_model_total", "serve.expired_total",
+      "serve.completed_total", "serve.batches_total",
+      "net.frames_read_total", "net.frames_written_total",
+      "net.frames_quarantined_total", "net.requests_shed_total",
+      "net.idle_timeouts_total", "net.read_timeouts_total",
+      "net.requests_total", "net.connections_accepted_total",
+      "net.connections_closed_total", "net.accept_failures_total",
+      "net.client.attempts_total", "net.client.retries_total",
+      "net.client.reconnects_total", "net.client.transport_errors_total",
+      "admin.requests_total", "admin.slow_clients_total",
+      "admin.accept_failures_total", "features.cache.hits",
+      "features.cache.misses", "features.cache.evictions",
+      "features.disk.hits", "features.disk.misses",
+      "features.disk.flushed_entries", "slo.breach"};
+  const std::set<std::string> counters_added = {
+      "net.responses_ok_total", "net.responses_error_total",
+      "net.bytes_read_total", "net.bytes_written_total",
+      "net.client.requests_total", "admin.connections_accepted_total",
+      "admin.connections_closed_total", "admin.bytes_read_total",
+      "admin.bytes_written_total"};
+  const std::set<std::string> gauges = {
+      "net.active_connections", "admin.active_connections",
+      "features.cache.size", "slo.degraded", "slo.burn_rate"};
+  const std::set<std::string> histograms = {
+      "serve.batch_size", "serve.queue_ms",  "serve.infer_ms",
+      "serve.total_ms",   "serve.featurize_ms", "net.request_ms"};
+
+  serve::ModelRegistry models;
+  serve::DetectionServer server(models);
+  serve::TransportServer transport(server);
+  serve::RemoteClient client(serve::ClientConfig{});
+  AdminServer admin;
+  SloMonitor slo;
+  const auto absent = std::filesystem::temp_directory_path() /
+                      ("gea_admin_series_" + std::to_string(::getpid()));
+  auto disk = features::DiskFeatureCache::open(absent.string());
+  ASSERT_TRUE(disk.is_ok());
+
+  const auto snap = obs::MetricsRegistry::global().snapshot();
+  const auto names = [](const auto& map) {
+    std::set<std::string> out;
+    for (const auto& [name, value] : map) {
+      for (const char* prefix : {"serve.", "net.", "admin.", "features.cache.",
+                                 "features.disk.", "slo."}) {
+        if (name.rfind(prefix, 0) == 0) out.insert(name);
+      }
+    }
+    return out;
+  };
+  std::set<std::string> counters = counters_before;
+  counters.insert(counters_added.begin(), counters_added.end());
+  for (const auto& name : counters_before) {
+    EXPECT_EQ(snap.counters.count(name), 1u) << name;
+  }
+  EXPECT_EQ(names(snap.counters), counters);
+  EXPECT_EQ(names(snap.gauges), gauges);
+  EXPECT_EQ(names(snap.histograms), histograms);
 }
 
 }  // namespace

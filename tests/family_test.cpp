@@ -216,33 +216,76 @@ TEST(MultiConfusion, RowAndColumnSumsPartitionTotal) {
   EXPECT_EQ(diag, m.diagonal());
 }
 
+// The paper's binary confusion struct as the seed defined it (1 = malicious
+// = positive, any other label benign), kept as the oracle every K=2 rate
+// must reproduce bit for bit.
+struct SeedBinaryConfusion {
+  std::size_t tp = 0, tn = 0, fp = 0, fn = 0;
+
+  SeedBinaryConfusion(const std::vector<std::uint8_t>& predicted,
+                      const std::vector<std::uint8_t>& actual) {
+    for (std::size_t i = 0; i < predicted.size(); ++i) {
+      const bool pred_mal = predicted[i] == 1;
+      const bool is_mal = actual[i] == 1;
+      if (pred_mal && is_mal) ++tp;
+      else if (!pred_mal && !is_mal) ++tn;
+      else if (pred_mal && !is_mal) ++fp;
+      else ++fn;
+    }
+  }
+  static double rate(std::size_t num, std::size_t den) {
+    return den == 0 ? 0.0
+                    : static_cast<double>(num) / static_cast<double>(den);
+  }
+  double accuracy() const { return rate(tp + tn, tp + tn + fp + fn); }
+  double fnr() const { return rate(fn, fn + tp); }
+  double fpr() const { return rate(fp, fp + tn); }
+  double precision() const { return rate(tp, tp + fp); }
+  double recall() const { return rate(tp, tp + fn); }
+  double f1() const {
+    const double p = precision(), r = recall();
+    return p + r == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
+  }
+};
+
 TEST(MultiConfusion, K2BinaryViewIsBitwiseEqual) {
-  const auto actual = random_labels(211, 2, 3);
-  const auto predicted = random_labels(211, 2, 4);
-  const auto binary = ml::confusion(predicted, actual);
-  const auto multi = ml::confusion_k(2, predicted, actual);
-  const auto collapsed = multi.binary();
-  EXPECT_EQ(collapsed.tp, binary.tp);
-  EXPECT_EQ(collapsed.tn, binary.tn);
-  EXPECT_EQ(collapsed.fp, binary.fp);
-  EXPECT_EQ(collapsed.fn, binary.fn);
-  // Bitwise on the derived rates: same integers, same single division.
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(collapsed.accuracy()),
-            std::bit_cast<std::uint64_t>(binary.accuracy()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(collapsed.fnr()),
-            std::bit_cast<std::uint64_t>(binary.fnr()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(collapsed.fpr()),
-            std::bit_cast<std::uint64_t>(binary.fpr()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(collapsed.f1()),
-            std::bit_cast<std::uint64_t>(binary.f1()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(multi.accuracy()),
-            std::bit_cast<std::uint64_t>(binary.accuracy()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(multi.precision(1)),
-            std::bit_cast<std::uint64_t>(binary.precision()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(multi.recall(1)),
-            std::bit_cast<std::uint64_t>(binary.recall()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(multi.f1(1)),
-            std::bit_cast<std::uint64_t>(binary.f1()));
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::uint64_t seed : {3u, 5u, 7u}) {
+    const auto actual = random_labels(211, 2, seed);
+    const auto predicted = random_labels(211, 2, seed + 1);
+    const SeedBinaryConfusion binary(predicted, actual);
+    const auto multi = ml::confusion_k(2, predicted, actual);
+    EXPECT_EQ(multi.at(1, 1), binary.tp);
+    EXPECT_EQ(multi.at(0, 0), binary.tn);
+    EXPECT_EQ(multi.at(0, 1), binary.fp);
+    EXPECT_EQ(multi.at(1, 0), binary.fn);
+    // Bitwise on the derived rates: same integers, same single division.
+    EXPECT_EQ(bits(multi.accuracy()), bits(binary.accuracy()));
+    EXPECT_EQ(bits(multi.fnr(1)), bits(binary.fnr()));
+    EXPECT_EQ(bits(multi.fpr(1)), bits(binary.fpr()));
+    EXPECT_EQ(bits(multi.precision(1)), bits(binary.precision()));
+    EXPECT_EQ(bits(multi.recall(1)), bits(binary.recall()));
+    EXPECT_EQ(bits(multi.f1(1)), bits(binary.f1()));
+  }
+}
+
+TEST(MultiConfusion, OneVsRestRatesOverK) {
+  auto m = ml::MultiConfusion(3);
+  m.at(0, 0) = 5;
+  m.at(0, 2) = 1;
+  m.at(1, 1) = 3;
+  m.at(1, 0) = 2;
+  m.at(2, 2) = 4;
+  m.at(2, 0) = 1;
+  // Class 0 misses 1 of its 6 samples (predicted 2); its false alarms are
+  // the 2 + 1 samples of rows 1 and 2 predicted 0, over their 10 samples.
+  EXPECT_DOUBLE_EQ(m.fnr(0), 1.0 / 6.0);
+  EXPECT_DOUBLE_EQ(m.fpr(0), 3.0 / 10.0);
+  EXPECT_DOUBLE_EQ(m.fnr(1), 2.0 / 5.0);
+  EXPECT_DOUBLE_EQ(m.fpr(1), 0.0);
+  EXPECT_DOUBLE_EQ(m.fnr(2), 1.0 / 5.0);
+  EXPECT_DOUBLE_EQ(m.fpr(2), 1.0 / 11.0);
+  EXPECT_EQ(ml::MultiConfusion(3).fpr(1), 0.0);  // empty rows
 }
 
 TEST(MultiConfusion, MacroF1IsUnweightedMean) {

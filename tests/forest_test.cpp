@@ -94,7 +94,7 @@ TEST(RandomForest, LearnsXor) {
   RandomForest forest(cfg);
   forest.fit(d.rows, d.labels);
   const auto preds = forest.predict_all(d.rows);
-  const auto cm = confusion(preds, d.labels);
+  const auto cm = confusion_k(2, preds, d.labels);
   EXPECT_GT(cm.accuracy(), 0.95);
 }
 
@@ -143,7 +143,7 @@ TEST(RandomForest, MoreTreesSmootherThanOne) {
   f40.fit(d.rows, d.labels);
   // Ensemble accuracy should not be worse.
   const auto acc = [&](const RandomForest& f) {
-    return confusion(f.predict_all(d.rows), d.labels).accuracy();
+    return confusion_k(2, f.predict_all(d.rows), d.labels).accuracy();
   };
   EXPECT_GE(acc(f40) + 0.02, acc(f1));
 }

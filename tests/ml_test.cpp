@@ -880,37 +880,37 @@ TEST(ModelClassifier, LogitsBatchRunsOneForwardForAllRows) {
 TEST(Metrics, ConfusionCounts) {
   const std::vector<std::uint8_t> pred = {1, 1, 0, 0, 1};
   const std::vector<std::uint8_t> actual = {1, 0, 0, 1, 1};
-  const auto m = confusion(pred, actual);
-  EXPECT_EQ(m.tp, 2u);
-  EXPECT_EQ(m.fp, 1u);
-  EXPECT_EQ(m.fn, 1u);
-  EXPECT_EQ(m.tn, 1u);
+  const auto m = confusion_k(2, pred, actual);
+  EXPECT_EQ(m.at(1, 1), 2u);  // true positives
+  EXPECT_EQ(m.at(0, 1), 1u);  // false positives
+  EXPECT_EQ(m.at(1, 0), 1u);  // false negatives
+  EXPECT_EQ(m.at(0, 0), 1u);  // true negatives
   EXPECT_DOUBLE_EQ(m.accuracy(), 0.6);
-  EXPECT_DOUBLE_EQ(m.fnr(), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(m.fpr(), 0.5);
+  EXPECT_DOUBLE_EQ(m.fnr(1), 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(m.fpr(1), 0.5);
 }
 
 TEST(Metrics, DegenerateDenominators) {
-  ConfusionMatrix m;  // all zero
+  MultiConfusion m(2);  // all zero
   EXPECT_EQ(m.accuracy(), 0.0);
-  EXPECT_EQ(m.fnr(), 0.0);
-  EXPECT_EQ(m.fpr(), 0.0);
-  EXPECT_EQ(m.f1(), 0.0);
+  EXPECT_EQ(m.fnr(1), 0.0);
+  EXPECT_EQ(m.fpr(1), 0.0);
+  EXPECT_EQ(m.f1(1), 0.0);
 }
 
 TEST(Metrics, PrecisionRecallF1) {
-  ConfusionMatrix m;
-  m.tp = 8;
-  m.fp = 2;
-  m.fn = 2;
-  m.tn = 88;
-  EXPECT_DOUBLE_EQ(m.precision(), 0.8);
-  EXPECT_DOUBLE_EQ(m.recall(), 0.8);
-  EXPECT_DOUBLE_EQ(m.f1(), 0.8);
+  MultiConfusion m(2);
+  m.at(1, 1) = 8;
+  m.at(0, 1) = 2;
+  m.at(1, 0) = 2;
+  m.at(0, 0) = 88;
+  EXPECT_DOUBLE_EQ(m.precision(1), 0.8);
+  EXPECT_DOUBLE_EQ(m.recall(1), 0.8);
+  EXPECT_DOUBLE_EQ(m.f1(1), 0.8);
 }
 
 TEST(Metrics, SizeMismatchThrows) {
-  EXPECT_THROW(confusion({1}, {1, 0}), std::invalid_argument);
+  EXPECT_THROW(confusion_k(2, {1}, {1, 0}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

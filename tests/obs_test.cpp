@@ -1,6 +1,7 @@
 // Observability layer: registry handles, striped counters/histograms under
-// concurrency, exporters, trace spans (nesting, unbalanced, cross-thread),
-// the bounded ring, and the runtime kill switch.
+// concurrency, Tally (instance count + registry mirror), exporters, trace
+// spans (nesting, unbalanced, cross-thread), the bounded ring, and the
+// runtime kill switch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -163,6 +164,67 @@ TEST(Metrics, RuntimeKillSwitchStopsWrites) {
   EXPECT_EQ(snap.counters.at("c"), 0u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("g"), 0.0);
   EXPECT_EQ(snap.histograms.at("h").count, 0u);
+}
+
+// A Tally's instance count is the object's own bookkeeping: it keeps
+// counting while the kill switch pauses its registry mirror.
+TEST(Tally, KeepsCountingWhileMetricsAreOff) {
+  MetricsRegistry reg;
+  Tally t("t", reg);
+  t.inc();
+  set_metrics_enabled(false);
+  t.inc(5);
+  set_metrics_enabled(true);
+  t.inc();
+  EXPECT_EQ(t.value(), 7u);
+#if defined(GEA_OBS_NOOP)
+  EXPECT_EQ(reg.counter("t").value(), 0u);
+#else
+  EXPECT_EQ(reg.counter("t").value(), 2u);
+#endif
+}
+
+TEST(Tally, InstancesShareTheirNamedMirror) {
+  SKIP_IF_NOOP();
+  MetricsRegistry reg;
+  Tally a("shared", reg);
+  Tally b("shared", reg);
+  a.inc(3);
+  b.inc(4);
+  EXPECT_EQ(a.value(), 3u);
+  EXPECT_EQ(b.value(), 4u);
+  EXPECT_EQ(reg.snapshot().counters.at("shared"), 7u);
+}
+
+// 4 writers x 10^5 inc(): both totals exact, and a reader that has seen an
+// instance count always finds the mirror at least as high.
+TEST(Tally, ConcurrentIncrementsAreExactOnBoth) {
+  MetricsRegistry reg;
+  Tally t("t", reg);
+  const Counter& mirror = reg.counter("t");
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100'000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) t.inc();
+      running.fetch_sub(1);
+    });
+  }
+  std::uint64_t reads = 0, behind = 0;
+  while (running.load() > 0) {
+    const std::uint64_t seen = t.value();
+    if (mirror.value() < seen) ++behind;
+    ++reads;
+  }
+  for (auto& th : threads) th.join();
+  const auto total = static_cast<std::uint64_t>(kThreads) * kPerThread;
+  EXPECT_EQ(t.value(), total);
+#if !defined(GEA_OBS_NOOP)
+  EXPECT_EQ(mirror.value(), total);
+  EXPECT_EQ(behind, 0u) << "of " << reads << " reads";
+#endif
 }
 
 TEST(Export, PrometheusRendersAllKindsWithSanitizedNames) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -1018,6 +1019,140 @@ TEST(Stats, LatencyPercentilesReadTheRegistryHistograms) {
   for (const char* key : {"p50", "p95", "p99"}) {
     EXPECT_NE(text.find(key), std::string::npos) << key;
   }
+}
+
+// ServerStats takes no lock: every count is an obs::Tally, and snapshot()
+// loads later stages first. Four threads submit rows and programs while a
+// fifth snapshots in a loop: every snapshot has completed <= accepted <=
+// submitted, and the final counts are exact.
+TEST(Stats, SnapshotsStayOrderedUnderConcurrentTraffic) {
+  const auto dir = write_checkpoint("ordered", 71);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.queue_capacity = 1024;
+  serve::DetectionServer server(reg, cfg);
+
+  Rng rng(12);
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 16; ++i) rows.push_back(synthetic_row(rng));
+  std::vector<isa::Program> programs;
+  for (int i = 0; i < 4; ++i) {
+    programs.push_back(bingen::generate_program(
+        i % 2 == 0 ? bingen::Family::kMiraiLike : bingen::Family::kGafgytLike,
+        rng));
+  }
+
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kPerThread = 100;  // alternating rows and programs
+  std::atomic<bool> done{false};
+  std::uint64_t snapshots = 0, disordered = 0;
+  std::thread watcher([&] {
+    while (!done.load()) {
+      const auto s = server.stats();
+      if (s.completed > s.accepted || s.accepted > s.submitted) ++disordered;
+      ++snapshots;
+    }
+  });
+  std::atomic<int> failed{0};
+  std::vector<std::thread> submitters;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      std::vector<std::future<util::Result<serve::Verdict>>> futures;
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t k = i + t;
+        futures.push_back(i % 2 == 0
+                              ? server.submit(rows[k % rows.size()])
+                              : server.submit(programs[k % programs.size()]));
+      }
+      for (auto& f : futures) {
+        if (!f.get().is_ok()) failed.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  done.store(true);
+  watcher.join();
+
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(disordered, 0u) << "of " << snapshots << " snapshots";
+  const auto s = server.stats();
+  EXPECT_EQ(s.submitted, kThreads * kPerThread);
+  EXPECT_EQ(s.accepted, kThreads * kPerThread);
+  EXPECT_EQ(s.completed, kThreads * kPerThread);
+  EXPECT_EQ(s.rejected_full + s.rejected_invalid + s.rejected_no_model +
+                s.expired,
+            0u);
+  std::uint64_t batched = 0, batches = 0;
+  for (const auto& [size, count] : s.batch_sizes) {
+    batched += static_cast<std::uint64_t>(size) * count;
+    batches += count;
+  }
+  EXPECT_EQ(batched, s.completed);
+  EXPECT_EQ(batches, s.batches);
+  std::filesystem::remove_all(dir);
+}
+
+// Each StatsSnapshot count equals the change in its "serve.*" series over
+// a server's life that reaches every admission and dequeue outcome.
+TEST(Stats, InstanceCountsEqualTheirRegistryDeltas) {
+#if defined(GEA_OBS_NOOP)
+  GTEST_SKIP() << "GEA_OBS_NOOP build: instrumentation compiled out";
+#endif
+  const auto dir = write_checkpoint("deltas", 73);
+  serve::ModelRegistry reg;
+  const auto before = obs::MetricsRegistry::global().snapshot().counters;
+  serve::StatsSnapshot s;
+  {
+    serve::ServerConfig cfg;
+    cfg.workers = 1;
+    cfg.queue_capacity = 2;
+    serve::DetectionServer server(reg, cfg);
+    Rng rng(14);
+    EXPECT_EQ(server.detect(synthetic_row(rng)).status().code(),
+              ErrorCode::kUnavailable);  // no model yet
+    ASSERT_TRUE(reg.load("v1", dir).is_ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(server.detect(synthetic_row(rng)).is_ok());
+    }
+    EXPECT_EQ(server.detect(std::vector<double>(kDim - 1, 0.5)).status().code(),
+              ErrorCode::kInvalidArgument);  // rejected at dequeue
+    EXPECT_EQ(server.detect(synthetic_row(rng), std::nan("")).status().code(),
+              ErrorCode::kInvalidArgument);  // rejected at admission
+    server.pause();
+    auto expiring = server.submit(synthetic_row(rng), 1.0);
+    auto served = server.submit(synthetic_row(rng));
+    EXPECT_EQ(server.detect(synthetic_row(rng)).status().code(),
+              ErrorCode::kUnavailable);  // queue full
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    server.resume();
+    EXPECT_EQ(expiring.get().status().code(), ErrorCode::kDeadlineExceeded);
+    EXPECT_TRUE(served.get().is_ok());
+    server.stop();
+    s = server.stats();
+  }
+  const auto after = obs::MetricsRegistry::global().snapshot().counters;
+  const auto delta = [&](const std::string& name) {
+    const auto b = before.find(name);
+    return after.at(name) - (b == before.end() ? 0 : b->second);
+  };
+  EXPECT_EQ(s.submitted, 9u);
+  EXPECT_EQ(delta("serve.submitted_total"), s.submitted);
+  EXPECT_EQ(delta("serve.accepted_total"), s.accepted);
+  EXPECT_EQ(delta("serve.rejected_full_total"), s.rejected_full);
+  EXPECT_EQ(delta("serve.rejected_invalid_total"), s.rejected_invalid);
+  EXPECT_EQ(delta("serve.rejected_no_model_total"), s.rejected_no_model);
+  EXPECT_EQ(delta("serve.expired_total"), s.expired);
+  EXPECT_EQ(delta("serve.completed_total"), s.completed);
+  EXPECT_EQ(delta("serve.batches_total"), s.batches);
+  for (const std::uint64_t n : {s.accepted, s.rejected_full, s.rejected_invalid,
+                                s.rejected_no_model, s.expired, s.completed,
+                                s.batches}) {
+    EXPECT_GT(n, 0u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "dataset/corpus.hpp"
@@ -17,6 +19,7 @@
 #include "dataset/stream.hpp"
 #include "features/disk_cache.hpp"
 #include "features/engine.hpp"
+#include "obs/metrics.hpp"
 #include "util/faultinject.hpp"
 #include "util/rng.hpp"
 
@@ -594,6 +597,50 @@ TEST_F(ShardedCorpusTest, FeatureCacheTierPromoteAndWriteThrough) {
   // Absent everywhere: a miss in both layers.
   EXPECT_FALSE(mem2.lookup({7, 8}, got));
   EXPECT_GT(tier->misses(), 0u);
+}
+
+// The memory LRU's and the disk tier's hit/miss/eviction counts are
+// obs::Tally counts: over this test each equals the change in its
+// "features.cache.*" or "features.disk.*" series.
+TEST_F(ShardedCorpusTest, CacheCountsEqualTheirRegistryDeltas) {
+#if defined(GEA_OBS_NOOP)
+  GTEST_SKIP() << "GEA_OBS_NOOP build: instrumentation compiled out";
+#endif
+  const auto before = obs::MetricsRegistry::global().snapshot().counters;
+  const std::string dir = test_dir("cache_deltas");
+  auto tier_res =
+      features::DiskFeatureCache::open((fs::path(dir) / "seg.gfc").string());
+  ASSERT_TRUE(tier_res.is_ok());
+  auto tier = std::make_shared<features::DiskFeatureCache>(
+      std::move(tier_res).value());
+  features::FeatureCache mem(1);
+  mem.set_persistent_tier(tier);
+
+  const features::FeatureVector fv{};
+  features::FeatureVector got{};
+  EXPECT_FALSE(mem.lookup({1, 1}, got));  // miss in both layers
+  mem.insert({1, 1}, fv);
+  EXPECT_TRUE(mem.lookup({1, 1}, got));   // memory hit
+  mem.insert({2, 2}, fv);                 // evicts {1, 1}
+  EXPECT_TRUE(mem.lookup({1, 1}, got));   // promoted from the tier
+  ASSERT_TRUE(tier->flush().is_ok());
+
+  const auto after = obs::MetricsRegistry::global().snapshot().counters;
+  const auto delta = [&](const std::string& name) {
+    const auto b = before.find(name);
+    return after.at(name) - (b == before.end() ? 0 : b->second);
+  };
+  EXPECT_EQ(mem.hits(), 2u);
+  EXPECT_EQ(mem.misses(), 1u);
+  EXPECT_EQ(mem.evictions(), 2u);
+  EXPECT_EQ(tier->hits(), 1u);
+  EXPECT_EQ(tier->misses(), 1u);
+  EXPECT_EQ(delta("features.cache.hits"), mem.hits());
+  EXPECT_EQ(delta("features.cache.misses"), mem.misses());
+  EXPECT_EQ(delta("features.cache.evictions"), mem.evictions());
+  EXPECT_EQ(delta("features.disk.hits"), tier->hits());
+  EXPECT_EQ(delta("features.disk.misses"), tier->misses());
+  EXPECT_EQ(delta("features.disk.flushed_entries"), 2u);
 }
 
 }  // namespace

@@ -806,6 +806,80 @@ TEST(Transport, CountersMirrorIntoMetricsRegistry) {
   EXPECT_GE(after.histograms.at("net.request_ms").count, 1u);
 }
 
+// Every TransportSnapshot count, the loop's connection counts included, and
+// every ClientStats count is an obs::Tally: over a session with served,
+// refused, quarantined and shed traffic, each equals the change in its
+// "net.*" or "net.client.*" series.
+TEST(Transport, InstanceCountsEqualTheirRegistryDeltas) {
+#if defined(GEA_OBS_NOOP)
+  GTEST_SKIP() << "GEA_OBS_NOOP build: instrumentation compiled out";
+#endif
+  const auto before = obs::MetricsRegistry::global().snapshot().counters;
+  serve::TransportSnapshot t;
+  serve::ClientStats c;
+  {
+    serve::TransportConfig tcfg;
+    tcfg.max_connections = 2;
+    Rig rig({}, tcfg);
+    Rng rng(103);
+    {
+      serve::RemoteClient client(rig.client_config());
+      for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(client.detect(synthetic_row(rng)).is_ok());
+      }
+      EXPECT_FALSE(client.detect(std::vector<double>(kDim - 1, 1.0)).is_ok());
+      // A damaged frame on a second connection: quarantined and answered.
+      net::Socket sock = raw_connect(rig.transport->port());
+      auto corrupted = make_request_bytes(9, synthetic_row(rng));
+      corrupted[net::kHeaderBytes + 4] ^= 0x10;
+      send_all(sock, corrupted);
+      std::vector<std::uint8_t> buf;
+      ASSERT_TRUE(read_frame(sock, buf).has_value());
+      // A third connection is over the cap: shed.
+      net::Socket extra = raw_connect(rig.transport->port());
+      ASSERT_TRUE(spin_until([&] { return rig.transport->stats().shed >= 1; }));
+      c = client.stats();
+    }
+    rig.transport->stop();
+    t = rig.transport->stats();
+  }
+  const auto after = obs::MetricsRegistry::global().snapshot().counters;
+  const auto delta = [&](const std::string& name) {
+    const auto b = before.find(name);
+    return after.at(name) - (b == before.end() ? 0 : b->second);
+  };
+  EXPECT_EQ(delta("net.connections_accepted_total"), t.accepted);
+  EXPECT_EQ(delta("net.connections_closed_total"), t.closed);
+  EXPECT_EQ(delta("net.accept_failures_total"), t.accept_failures);
+  EXPECT_EQ(delta("net.frames_read_total"), t.frames_read);
+  EXPECT_EQ(delta("net.frames_written_total"), t.frames_written);
+  EXPECT_EQ(delta("net.bytes_read_total"), t.bytes_read);
+  EXPECT_EQ(delta("net.bytes_written_total"), t.bytes_written);
+  EXPECT_EQ(delta("net.frames_quarantined_total"), t.quarantined);
+  EXPECT_EQ(delta("net.requests_shed_total"), t.shed);
+  EXPECT_EQ(delta("net.idle_timeouts_total"), t.idle_timeouts);
+  EXPECT_EQ(delta("net.read_timeouts_total"), t.read_timeouts);
+  EXPECT_EQ(delta("net.requests_total"), t.requests);
+  EXPECT_EQ(delta("net.responses_ok_total"), t.responses_ok);
+  EXPECT_EQ(delta("net.responses_error_total"), t.responses_error);
+  EXPECT_EQ(t.accepted, 2u);
+  EXPECT_EQ(t.closed, t.accepted);
+  EXPECT_EQ(t.quarantined, 1u);
+  EXPECT_EQ(t.shed, 1u);
+  EXPECT_EQ(t.responses_ok, 3u);
+  EXPECT_EQ(t.responses_error, 2u);
+  EXPECT_GT(t.bytes_read, 0u);
+  EXPECT_GT(t.bytes_written, 0u);
+
+  EXPECT_EQ(delta("net.client.requests_total"), c.requests);
+  EXPECT_EQ(delta("net.client.attempts_total"), c.attempts);
+  EXPECT_EQ(delta("net.client.retries_total"), c.retries);
+  EXPECT_EQ(delta("net.client.reconnects_total"), c.reconnects);
+  EXPECT_EQ(delta("net.client.transport_errors_total"), c.transport_errors);
+  EXPECT_EQ(c.requests, 4u);
+  EXPECT_EQ(c.attempts, 4u);
+}
+
 // --- Distributed trace propagation -----------------------------------------
 
 TEST(Transport, SingleTraceIdLinksClientAndServerSpans) {
